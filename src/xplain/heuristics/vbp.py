@@ -198,19 +198,27 @@ def _volume_bound(inst, bins):
 
 
 def optimal_vbp(inst, node_limit=None):
-    """Exact minimum number of bins, via the assignment MILP.
+    """Exact minimum number of bins.
 
-    The candidate pool is first-fit's own bin count (an upper bound), or the
-    fixed pool when one is configured.
+    First-fit's packing is an upper bound, and it is returned when it meets
+    the lower bound (the volume bound for identical bins, else one bin).
+    Otherwise the assignment MILP runs over the fixed pool or, for identical
+    bins, over one bin fewer than first-fit used; when that MILP is
+    infeasible first-fit was optimal. Raises SolverError when the MILP ends
+    in any other status.
     """
-    from ..solver import BINARY, EQ, LE, ConstraintProgram, solve_mip
+    from ..solver import BINARY, EQ, LE, ConstraintProgram, SolverError, solve_mip
 
     if inst.n_balls == 0:
         return VbpAllocation((), 0, ())
     ff_alloc, _ = run_ff(inst)
-    n_bins = len(inst.bins) if inst.bins is not None else ff_alloc.bins_used
-    bins = inst.bin_list(n_bins)
+    ff_bins = ff_alloc.bins_used
     symmetric = inst.identical_bins()
+    bound = _volume_bound(inst, inst.bin_list(1)) if symmetric else 1
+    if ff_bins <= bound:
+        return ff_alloc
+    n_bins = ff_bins - 1 if symmetric else len(inst.bins)
+    bins = inst.bin_list(ff_bins)[:n_bins]
 
     # internally process large balls first; tightens the j <= i restriction
     order = sorted(range(inst.n_balls),
@@ -241,15 +249,15 @@ def optimal_vbp(inst, node_limit=None):
     if symmetric:
         for j in range(n_bins - 1):
             prog.add_constraint({z[j]: -1.0, z[j + 1]: 1.0}, LE, 0.0)
-        bound = _volume_bound(inst, bins)
-        if bound > 0:
-            prog.add_constraint({idx: -1.0 for idx in z}, LE, -float(bound))
+        prog.add_constraint({idx: -1.0 for idx in z}, LE, -float(bound))
     prog.set_objective({idx: 1.0 for idx in z}, "min")
 
     kwargs = {} if node_limit is None else {"node_limit": node_limit}
     sol = solve_mip(prog, integral_objective=True, **kwargs)
+    if sol.status == "infeasible":
+        return ff_alloc
     if sol.status != "optimal":
-        raise Unplaceable(-1)
+        raise SolverError(f"bin-packing MILP ended {sol.status!r}")
 
     assignment = [0] * inst.n_balls
     for (i, j), idx in x.items():

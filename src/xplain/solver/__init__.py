@@ -1,4 +1,4 @@
-"""Exact small-scale optimizer: primal simplex plus branch-and-bound."""
+"""Exact small-scale optimizer: bounded simplex plus warm-started branch and bound."""
 
 from .branch_bound import DEFAULT_NODE_LIMIT, solve_mip
 from .lp_format import to_lp_format
@@ -18,6 +18,7 @@ from .program import (
     Variable,
 )
 from .simplex import EPS_FEAS, solve_lp
+from .work import WorkCounts, counting
 
 __all__ = [
     "BINARY",
@@ -35,6 +36,8 @@ __all__ = [
     "Solution",
     "SolverError",
     "Variable",
+    "WorkCounts",
+    "counting",
     "solve_lp",
     "solve_mip",
     "to_lp_format",

@@ -1,6 +1,15 @@
-"""Depth-first branch-and-bound over binaries and exactly-one groups."""
+"""Depth-first branch-and-bound over binaries and exactly-one groups.
+
+The root relaxation is solved once, cold. Every other node is a bound change
+on its parent: a branching fixing pins a variable to one of its bounds, and
+the node re-optimises from its parent's basis with the dual simplex. A child
+popped straight after its parent dives in place on the working tableau; any
+other node is rebuilt from a copy of the root tableau by pivoting onto its
+parent's basis. The stack holds only fixings, parent bounds and bases.
+"""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,13 +20,22 @@ from .program import (
     NumericalInstability,
     Solution,
 )
-from .simplex import EPS_FEAS, solve_lp_arrays, _verify
+from .simplex import EPS_FEAS, _iteration_limit, _verify, cold_start
+from .work import open_counts
 
 _INT_TOL = 1e-6
 _FLOW_TOL = 1e-9
 _BOUND_TOL = 1e-9
+_ROUND_TOL = 1e-6  # an integral bound within this of an integer rounds to it
 
 DEFAULT_NODE_LIMIT = 10 ** 6
+
+
+@dataclass
+class _Node:
+    fixed: dict          # variable index -> pinned value (one of its bounds)
+    bound: float = None  # the parent's relaxation value, when known
+    start: tuple = None  # the parent's (basis, flipped), or None to solve cold
 
 
 def _auto_integral(prog):
@@ -32,26 +50,11 @@ def _auto_integral(prog):
     return True
 
 
-def _solve_node(A, senses, b, c, sense, uppers, fixed, n):
-    """LP relaxation with the variables in `fixed` substituted out."""
-    if fixed:
-        free = [i for i in range(n) if i not in fixed]
-        fixed_idx = sorted(fixed)
-        vals = np.array([fixed[i] for i in fixed_idx])
-        b_eff = b - A[:, fixed_idx] @ vals if len(b) else b
-        A_eff = A[:, free]
-        c_eff = c[free]
-        u_eff = [uppers[i] for i in free]
-        const = float(c[fixed_idx] @ vals)
-        status, obj, xv = solve_lp_arrays(A_eff, senses, b_eff, c_eff, sense, u_eff)
-        if status != "optimal":
-            return status, None, None
-        full = np.zeros(n)
-        full[free] = xv
-        for i in fixed_idx:
-            full[i] = fixed[i]
-        return status, obj + const, full
-    return solve_lp_arrays(A, senses, b, c, sense, uppers)
+def _upper(var):
+    """The relaxation's upper bound; a binary below 1 can only be 0."""
+    if var.kind == BINARY:
+        return 1.0 if var.upper is None or var.upper >= 1.0 else 0.0
+    return np.inf if var.upper is None else float(var.upper)
 
 
 def solve_mip(prog, node_limit=DEFAULT_NODE_LIMIT, integral_objective=None):
@@ -60,12 +63,15 @@ def solve_mip(prog, node_limit=DEFAULT_NODE_LIMIT, integral_objective=None):
     Branches first on fractional binaries (lowest index), then on violated
     exactly-one groups (one child per designated-positive member, all other
     members fixed to zero). Depth-first with best-bound pruning; deterministic.
+    A child inherits its parent's relaxation value and is pruned on it before
+    any LP work.
 
     Parameters
     ----------
     prog : ConstraintProgram
     node_limit : int
-        Maximum nodes explored before raising BudgetExceeded.
+        Maximum nodes popped (pruned ones included) before raising
+        BudgetExceeded.
     integral_objective : bool or None
         When True, bounds are rounded toward the incumbent before pruning
         (valid when every attainable objective is an integer). None
@@ -76,26 +82,23 @@ def solve_mip(prog, node_limit=DEFAULT_NODE_LIMIT, integral_objective=None):
     Solution
     """
     A, senses, b, c = prog.dense()
-    n = prog.n_vars
     sense = prog.sense
     maximize = sense == MAXIMIZE
-    uppers = []
-    for v in prog.variables:
-        if v.kind == BINARY:
-            u = 1.0 if v.upper is None else min(1.0, v.upper)
-            uppers.append(u)
-        else:
-            uppers.append(v.upper)
+    uppers = np.array([_upper(v) for v in prog.variables], dtype=float)
     if integral_objective is None:
         integral_objective = _auto_integral(prog)
 
     binaries = prog.binary_indices()
     groups = [tuple(g) for g in prog.exactly_one_groups]
+    work = open_counts()
 
     incumbent = None  # (objective, x)
-    stack = [{}]
+    stack = [_Node({})]
     nodes = 0
     saw_unbounded_leaf = False
+    root = None  # optimal root tableau, when the root relaxation is bounded
+    tab = None   # the working tableau
+    live = None  # the start tuple whose basis `tab` holds, for an in-place dive
 
     def better(a, b_):
         return a > b_ + _BOUND_TOL if maximize else a < b_ - _BOUND_TOL
@@ -105,17 +108,50 @@ def solve_mip(prog, node_limit=DEFAULT_NODE_LIMIT, integral_objective=None):
             return False
         inc = incumbent[0]
         if integral_objective:
-            bound = math.floor(bound + 1e-9) if maximize else math.ceil(bound - 1e-9)
+            bound = (math.floor(bound + _ROUND_TOL) if maximize
+                     else math.ceil(bound - _ROUND_TOL))
             inc = round(inc)
         return not (bound > inc + _BOUND_TOL if maximize else bound < inc - _BOUND_TOL)
 
+    def relax(node):
+        """Solve the node's relaxation; returns (status, bound, x)."""
+        nonlocal root, tab, live
+        if node.start is None:
+            lo = np.zeros(len(c))
+            up = uppers.copy()
+            for j, v in node.fixed.items():
+                lo[j] = up[j] = v
+            status, solved = cold_start(A, senses, b, c, sense, lo, up)
+            if status != "optimal":
+                return status, None, None
+            if root is None and not node.fixed:
+                root, tab = solved, solved.copy()
+            else:
+                tab = solved
+        else:
+            if node.start is not live:
+                tab.restore(root, *node.start)
+            for j, v in node.fixed.items():
+                tab.fix(j, v)
+            live = None
+            status = tab.dual(_iteration_limit(tab.T))
+            if status != "optimal":
+                return status, None, None
+        x = tab.values()
+        return "optimal", float(c @ x), x
+
     while stack:
-        fixed = stack.pop()
+        node = stack.pop()
         nodes += 1
+        if work is not None:
+            work.nodes += 1
         if nodes > node_limit:
             raise BudgetExceeded(f"branch-and-bound node limit {node_limit} exceeded")
+        if node.bound is not None and prunable(node.bound):
+            continue
 
-        status, bound, x = _solve_node(A, senses, b, c, sense, uppers, fixed, n)
+        fixed = node.fixed
+        status, bound, x = relax(node)
         if status == "infeasible":
             continue
         if status == "unbounded":
@@ -124,9 +160,8 @@ def solve_mip(prog, node_limit=DEFAULT_NODE_LIMIT, integral_objective=None):
             frac = next((i for i in binaries if i not in fixed), None)
             if frac is not None:
                 for val in (1.0, 0.0):
-                    child = dict(fixed)
-                    child[frac] = val
-                    stack.append(child)
+                    if val <= uppers[frac]:
+                        stack.append(_Node({**fixed, frac: val}))
                 continue
             open_group = next(
                 (g for g in groups
@@ -138,16 +173,16 @@ def solve_mip(prog, node_limit=DEFAULT_NODE_LIMIT, integral_objective=None):
                     if any(mem != keep_mem and fixed.get(mem, 0.0) != 0.0
                            for mem in open_group):
                         continue  # contradicts an earlier nonzero fix
-                    child = dict(fixed)
-                    for mem in open_group:
-                        if mem != keep_mem:
-                            child[mem] = 0.0
-                    stack.append(child)
+                    zeros = {mem: 0.0 for mem in open_group if mem != keep_mem}
+                    stack.append(_Node({**fixed, **zeros}))
                 continue
             saw_unbounded_leaf = True
             break
         if prunable(bound):
             continue
+        # children re-optimise from this node's basis; none when it was solved
+        # cold under an unbounded root
+        start = None if root is None else (tab.basis.copy(), tab.flipped.copy())
 
         # branching target 1: fractional binary, lowest index
         frac = next(
@@ -158,9 +193,8 @@ def solve_mip(prog, node_limit=DEFAULT_NODE_LIMIT, integral_objective=None):
         if frac is not None:
             near = 1.0 if x[frac] >= 0.5 else 0.0
             for val in (1.0 - near, near):  # preferred child pushed last -> popped first
-                child = dict(fixed)
-                child[frac] = val
-                stack.append(child)
+                stack.append(_Node({**fixed, frac: val}, bound, start))
+            live = start
             continue
 
         # branching target 2: violated exactly-one group, lowest index
@@ -174,11 +208,9 @@ def solve_mip(prog, node_limit=DEFAULT_NODE_LIMIT, integral_objective=None):
                 if any(mem != keep_mem and fixed.get(mem, 0.0) != 0.0
                        for mem in viol):
                     continue
-                child = dict(fixed)
-                for mem in viol:
-                    if mem != keep_mem:
-                        child[mem] = 0.0
-                stack.append(child)
+                zeros = {mem: 0.0 for mem in viol if mem != keep_mem}
+                stack.append(_Node({**fixed, **zeros}, bound, start))
+            live = start
             continue
 
         # integral and group-feasible: candidate incumbent

@@ -148,3 +148,37 @@ def wilcoxon_oracle(diffs, alternative="greater"):
     if alternative == "less":
         return w_obs, p_le
     return w_obs, min(1.0, 2.0 * min(p_ge, p_le))
+
+
+def bin_packing_oracle(sizes, capacity=1.0):
+    """Minimum number of bins for 1-D `sizes`, by a DP over subsets.
+
+    best[mask] is the least (bins opened, load of the last bin) over orders
+    that pack exactly the balls in `mask` bin by bin; every optimal packing
+    is such an order, so best[full][0] is the optimum. Vectorised over
+    subsets of equal size, which depend only on the size below them.
+    """
+    s = np.asarray(sizes, dtype=float)
+    n = len(s)
+    if n == 0:
+        return 0
+    full = 1 << n
+    bins = np.full(full, n + 1, dtype=np.int64)
+    load = np.full(full, np.inf)
+    bins[0], load[0] = 1, 0.0
+    masks = np.arange(full)
+    popcount = np.zeros(full, dtype=np.int64)
+    for i in range(n):
+        popcount += (masks >> i) & 1
+    for k in range(1, n + 1):
+        layer = masks[popcount == k]
+        for i in range(n):
+            have = layer[(layer >> i) & 1 == 1]
+            prev = have ^ (1 << i)
+            fits = load[prev] + s[i] <= capacity + 1e-9
+            nb = np.where(fits, bins[prev], bins[prev] + 1)
+            nl = np.where(fits, load[prev] + s[i], s[i])
+            better = (nb < bins[have]) | ((nb == bins[have]) & (nl < load[have]))
+            bins[have[better]] = nb[better]
+            load[have[better]] = nl[better]
+    return int(bins[full - 1])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import bin_packing_oracle
 from xplain.flow import Pick, Sink, Source, Split, assignment_violations, evaluate, validate
 from xplain.heuristics import (
     VbpInstance,
@@ -25,6 +26,7 @@ from xplain.heuristics import (
     to_flow_network,
     Unplaceable,
 )
+from xplain.solver import Solution, SolverError, counting
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +216,84 @@ def test_optimal_vbp_assignment_is_consistent():
     for j, load in enumerate(alloc.loads):
         assert load[0] == pytest.approx(0.4 * counts.get(j, 0))
         assert load[0] <= 1.0 + 1e-9
+
+
+def test_bin_packing_oracle_known_values():
+    assert bin_packing_oracle([]) == 0
+    assert bin_packing_oracle([0.4] * 5) == 3
+    assert bin_packing_oracle([0.5] * 4) == 2
+    assert bin_packing_oracle([0.6] * 3) == 3
+    assert bin_packing_oracle([0.7, 0.6, 0.3, 0.4]) == 2
+
+
+def _check_packing(inst, alloc):
+    assert len(alloc.assignment) == inst.n_balls
+    assert alloc.bins_used == len(set(alloc.assignment))
+    loads = {}
+    for i, j in enumerate(alloc.assignment):
+        loads[j] = loads.get(j, 0.0) + inst.sizes[i][0]
+    assert all(v <= 1.0 + 1e-9 for v in loads.values())
+
+
+def test_optimal_vbp_matches_subset_dp_oracle():
+    # seeded uniform points of the [0, 1]^n box, four decimals as in fig3_ff17
+    rng = np.random.default_rng(20241015)
+    for n in range(4, 13):
+        for _ in range(10):
+            sizes = [float(v) for v in rng.random(n).round(4)]
+            inst = VbpInstance(tuple(sizes))
+            alloc = optimal_vbp(inst)
+            assert alloc.bins_used == bin_packing_oracle(sizes), sizes
+            _check_packing(inst, alloc)
+
+
+ROADMAP_POINT = (0.637, 0.2698, 0.041, 0.0165, 0.8133, 0.9128, 0.6066, 0.7295,
+                 0.5436, 0.9351, 0.8159, 0.0027, 0.8574, 0.0336, 0.7297, 0.1757,
+                 0.8632)
+
+
+@pytest.mark.parametrize("point, ff, opt", [
+    ("nominal", 9, 8),
+    (ROADMAP_POINT, 11, 11),  # volume bound 9: FF is optimal only by search
+], ids=["nominal", "roadmap_point"])
+def test_optimal_vbp_seventeen_balls(point, ff, opt):
+    sizes = ([s[0] for s in builtin("fig3_ff17").instance.sizes]
+             if point == "nominal" else list(point))
+    inst = VbpInstance(tuple(sizes))
+    alloc = optimal_vbp(inst)
+    assert run_ff(inst)[0].bins_used == ff
+    assert alloc.bins_used == opt == bin_packing_oracle(sizes)
+    _check_packing(inst, alloc)
+
+
+def test_optimal_vbp_nominal_ff17_pivot_count():
+    # a deterministic work count, not a timing gate
+    with counting() as work:
+        optimal_vbp(builtin("fig3_ff17").instance)
+    assert 0 < work.pivots <= 10_000
+    assert work.nodes > 0
+
+
+def test_optimal_vbp_returns_first_fit_when_it_is_optimal():
+    # FF meets the volume bound: no MILP at all
+    inst = VbpInstance((0.5, 0.5, 0.3))
+    with counting() as work:
+        assert optimal_vbp(inst) == run_ff(inst)[0]
+    assert work.nodes == 0
+    # FF uses 3 bins, the volume bound is 2, and no 2-bin packing exists
+    inst = VbpInstance((0.6, 0.6, 0.6))
+    with counting() as work:
+        assert optimal_vbp(inst) == run_ff(inst)[0]
+    assert work.nodes > 0
+
+
+def test_optimal_vbp_names_an_unexpected_solver_status(monkeypatch):
+    import xplain.solver
+
+    monkeypatch.setattr(xplain.solver, "solve_mip",
+                        lambda prog, **kwargs: Solution(status="unbounded"))
+    with pytest.raises(SolverError, match="unbounded"):
+        optimal_vbp(builtin("ff4").instance)
 
 
 # --- gap --------------------------------------------------------------------

@@ -11,6 +11,7 @@ from xplain.solver import (
     BudgetExceeded,
     ConstraintProgram,
     solve_lp,
+    counting,
     solve_mip,
     to_lp_format,
 )
@@ -110,26 +111,39 @@ def test_simplex_matches_vertex_enumeration_oracle():
 
 
 def test_lp_duality_on_random_feasible_bounded():
-    # primal optimum equals dual optimum on max{c.x : Ax <= b, x >= 0}
+    # max{c.x : A x <= b, E x == e, 0 <= x <= u} equals its bounded dual
+    # min{b.y + e.(p - q) + u.w : A^T y + E^T (p - q) + w >= c; y, p, q, w >= 0}
+    # (w only on finite u), on feasible, bounded LPs with n up to 30
     rng = np.random.default_rng(7)
-    done = 0
-    while done < 50:
-        n = int(rng.integers(1, 4))
-        m = int(rng.integers(1, 5))
-        A = rng.integers(-3, 5, size=(m, n)).astype(float)
-        b = rng.integers(0, 7, size=m).astype(float)  # b >= 0 keeps x=0 feasible
+    for _ in range(60):
+        n = int(rng.integers(1, 31))
+        m_le = int(rng.integers(1, n + 2))
+        m_eq = int(rng.integers(0, n // 3 + 2))
+        A = rng.integers(-3, 5, size=(m_le, n)).astype(float)
+        E = rng.integers(-3, 5, size=(m_eq, n)).astype(float)
+        u = rng.integers(1, 6, size=n).astype(float)
+        u[rng.random(n) < 0.2] = np.inf
         c = rng.integers(-4, 5, size=n).astype(float)
-        senses = [LE] * m
-        status, val, _ = solve_lp_arrays(A, senses, b, c, MAXIMIZE)
-        if status != "optimal":
-            continue
-        # dual: min b.y s.t. A^T y >= c, y >= 0
-        dstat, dval, _ = solve_lp_arrays(
-            (-A.T), ["<="] * n, -c, b, MINIMIZE
-        )
+        c[np.isinf(u)] = -np.abs(c[np.isinf(u)])  # keeps the maximum finite
+        x0 = rng.random(n) * np.where(np.isinf(u), 3.0, u)
+        b = A @ x0 + rng.integers(0, 3, size=m_le)
+        e = E @ x0
+        status, val, x = solve_lp_arrays(
+            np.vstack([A, E]), [LE] * m_le + [EQ] * m_eq, np.concatenate([b, e]),
+            c, MAXIMIZE, u)
+        assert status == "optimal"
+        assert np.all(A @ x <= b + 1e-7) and np.allclose(E @ x, e, atol=1e-7)
+        assert np.all(x >= -1e-9) and np.all(x <= u + 1e-9)
+        assert c @ x == pytest.approx(val, abs=1e-9)
+
+        fin = np.flatnonzero(np.isfinite(u))
+        W = np.zeros((n, len(fin)))
+        W[fin, np.arange(len(fin))] = 1.0
+        D = np.hstack([A.T, E.T, -E.T, W])  # D @ (y, p, q, w) >= c
+        dual_c = np.concatenate([b, e, -e, u[fin]])
+        dstat, dval, _ = solve_lp_arrays(-D, [LE] * n, -c, dual_c, MINIMIZE)
         assert dstat == "optimal"
         assert dval == pytest.approx(val, abs=1e-6)
-        done += 1
 
 
 def test_mip_all_binary_no_constraints():
@@ -279,3 +293,26 @@ def test_lp_format_export():
     assert "Binary" in text
     assert "x <= 4" in text
     assert text.endswith("End\n")
+
+
+def _knapsack():
+    prog = ConstraintProgram()
+    for j in range(5):
+        prog.add_variable(f"y{j}", BINARY)
+    prog.add_constraint({j: 2.0 for j in range(5)}, LE, 5.0)  # root LP: 2.5
+    prog.set_objective({j: 1.0 for j in range(5)}, MAXIMIZE)
+    return prog
+
+
+def test_work_counters_count_inside_their_block_only():
+    lp = make_lp([[1.0, 2.0], [3.0, 1.0]], [LE, LE], [4.0, 6.0], [1.0, 1.0])
+    solve_mip(_knapsack())  # no block open: nothing is counted anywhere
+    with counting() as outer:
+        solve_lp(lp)
+        with counting() as inner:
+            solve_mip(_knapsack())
+    assert outer.pivots == 2 and outer.nodes == 0
+    assert inner.pivots > 0 and inner.nodes > 1
+    with counting() as again:
+        solve_mip(_knapsack())
+    assert again == inner  # deterministic
