@@ -3,9 +3,11 @@
 The root relaxation is solved once, cold. Every other node is a bound change
 on its parent: a branching fixing pins a variable to one of its bounds, and
 the node re-optimises from its parent's basis with the dual simplex. A child
-popped straight after its parent dives in place on the working tableau; any
-other node is rebuilt from a copy of the root tableau by pivoting onto its
-parent's basis. The stack holds only fixings, parent bounds and bases.
+popped straight after its parent dives in place on the working tableau; a
+later child of the most recent branching node starts from a copy of that
+node's tableau; any other node is rebuilt from a copy of the root tableau by
+pivoting onto its parent's basis. The stack holds only fixings, parent
+bounds and bases; the three tableaux have one fixed size.
 """
 
 import math
@@ -99,6 +101,8 @@ def solve_mip(prog, node_limit=DEFAULT_NODE_LIMIT, integral_objective=None):
     root = None  # optimal root tableau, when the root relaxation is bounded
     tab = None   # the working tableau
     live = None  # the start tuple whose basis `tab` holds, for an in-place dive
+    last = None  # copy of the latest branching node's tableau, and its start
+    last_start = None
 
     def better(a, b_):
         return a > b_ + _BOUND_TOL if maximize else a < b_ - _BOUND_TOL
@@ -115,7 +119,7 @@ def solve_mip(prog, node_limit=DEFAULT_NODE_LIMIT, integral_objective=None):
 
     def relax(node):
         """Solve the node's relaxation; returns (status, bound, x)."""
-        nonlocal root, tab, live
+        nonlocal root, tab, live, last
         if node.start is None:
             lo = np.zeros(len(c))
             up = uppers.copy()
@@ -125,12 +129,15 @@ def solve_mip(prog, node_limit=DEFAULT_NODE_LIMIT, integral_objective=None):
             if status != "optimal":
                 return status, None, None
             if root is None and not node.fixed:
-                root, tab = solved, solved.copy()
+                root, tab, last = solved, solved.copy(), solved.copy()
             else:
                 tab = solved
         else:
             if node.start is not live:
-                tab.restore(root, *node.start)
+                if node.start is last_start:
+                    tab.load(last)
+                else:
+                    tab.restore(root, *node.start)
             for j, v in node.fixed.items():
                 tab.fix(j, v)
             live = None
@@ -139,6 +146,14 @@ def solve_mip(prog, node_limit=DEFAULT_NODE_LIMIT, integral_objective=None):
                 return status, None, None
         x = tab.values()
         return "optimal", float(c @ x), x
+
+    def branched(start):
+        """The children just pushed start from `tab`, which holds `start`."""
+        nonlocal live, last_start
+        live = start
+        if start is not None:
+            last.load(tab)
+            last_start = start
 
     while stack:
         node = stack.pop()
@@ -194,7 +209,7 @@ def solve_mip(prog, node_limit=DEFAULT_NODE_LIMIT, integral_objective=None):
             near = 1.0 if x[frac] >= 0.5 else 0.0
             for val in (1.0 - near, near):  # preferred child pushed last -> popped first
                 stack.append(_Node({**fixed, frac: val}, bound, start))
-            live = start
+            branched(start)
             continue
 
         # branching target 2: violated exactly-one group, lowest index
@@ -210,7 +225,7 @@ def solve_mip(prog, node_limit=DEFAULT_NODE_LIMIT, integral_objective=None):
                     continue
                 zeros = {mem: 0.0 for mem in viol if mem != keep_mem}
                 stack.append(_Node({**fixed, **zeros}, bound, start))
-            live = start
+            branched(start)
             continue
 
         # integral and group-feasible: candidate incumbent

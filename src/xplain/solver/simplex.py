@@ -36,7 +36,8 @@ EPS_FEAS = 1e-6       # constraint-satisfaction tolerance
 PIVOT_TOL = 1e-10     # entries at or below this act as zero in the ratio test
 _RC_TOL = 1e-9        # reduced-cost threshold for optimality
 _PHASE1_TOL = 1e-7    # residual infeasibility treated as infeasible
-_PRIMAL_TOL = 1e-9    # dual simplex: a basic value this far out of bounds is feasible
+_PRIMAL_TOL = 1e-9    # a basic value this far out of its bounds counts as feasible
+_SMALL_PIVOT = 1e-7   # Bland's leaving row is overruled below this pivot
 
 
 def _pivot(T, z, basis, r, j):
@@ -138,14 +139,15 @@ class Tableau:
             j = int(neg[0])
             col = T[:, j]
             rows = np.nonzero(col > PIVOT_TOL)[0]
-            ratios = T[rows, -1] / col[rows]
+            num, den = T[rows, -1], col[rows]
             if any_bounded:
                 # basic variables rising to a finite upper bound
                 up_rows = np.nonzero((col < -PIVOT_TOL) & bounded[basis])[0]
                 if up_rows.size:
                     rows = np.concatenate([rows, up_rows])
-                    ratios = np.concatenate(
-                        [ratios, (span[basis[up_rows]] - T[up_rows, -1]) / -col[up_rows]])
+                    num = np.concatenate([num, span[basis[up_rows]] - T[up_rows, -1]])
+                    den = np.concatenate([den, -col[up_rows]])
+            ratios = num / den
             best = ratios.min() if rows.size else np.inf
             if span[j] <= best:
                 if not bounded[j]:
@@ -155,6 +157,13 @@ class Tableau:
             tied = rows[ratios <= best + 1e-12]
             # anti-cycling: among tied rows leave the lowest-index basic variable
             r = int(tied[np.argmin(basis[tied])])
+            if abs(col[r]) < _SMALL_PIVOT:
+                # that pivot is rounding noise and would blow the tableau up:
+                # Harris instead, the largest pivot among the rows whose ratio
+                # is within tolerance of the least
+                num = np.maximum(num, 0.0)
+                near = np.nonzero(num / den <= ((num + _PRIMAL_TOL) / den).min())[0]
+                r = int(rows[near[np.argmax(den[near])]])
             if col[r] < 0:
                 self.flip(int(basis[r]))  # it leaves at its upper bound
             self.pivot(r, j)
@@ -189,18 +198,18 @@ class Tableau:
             self.pivot(r, int(cand[near[np.argmax(alpha[near])]]))
         raise NumericalInstability("dual simplex iteration limit reached")
 
+    def load(self, other):
+        """Become a copy of `other`, a tableau of the same shape."""
+        for name in ("T", "z", "basis", "lo", "up", "flipped"):
+            np.copyto(getattr(self, name), getattr(other, name))
+
     def restore(self, root, basis, flipped):
         """Become `root` re-pivoted onto `basis`, flipped where `flipped` is set.
 
         Rebuilding from the root rather than reusing a tableau that has
         travelled through other nodes keeps rounding error from piling up.
         """
-        np.copyto(self.T, root.T)
-        np.copyto(self.z, root.z)
-        np.copyto(self.basis, root.basis)
-        np.copyto(self.lo, root.lo)
-        np.copyto(self.up, root.up)
-        np.copyto(self.flipped, root.flipped)
+        self.load(root)
         # a flag on an unbounded column comes from pinning it at 0, which the
         # node's fixings redo
         for j in np.nonzero((self.flipped != flipped) & np.isfinite(self.up))[0]:
@@ -308,9 +317,9 @@ def cold_start(A, senses, b, c, sense=MAXIMIZE, lo=None, up=None):
         drop_rows = []
         for r in range(m):
             if tab.basis[r] >= real:
-                cand = np.nonzero(np.abs(tab.T[r, :real]) > PIVOT_TOL)[0]
-                if cand.size:
-                    tab.pivot(r, int(cand[0]))
+                j = int(np.argmax(np.abs(tab.T[r, :real])))
+                if abs(tab.T[r, j]) > PIVOT_TOL:
+                    tab.pivot(r, j)
                 else:
                     drop_rows.append(r)
         keep_rows = [r for r in range(m) if r not in set(drop_rows)]

@@ -252,10 +252,22 @@ ROADMAP_POINT = (0.637, 0.2698, 0.041, 0.0165, 0.8133, 0.9128, 0.6066, 0.7295,
                  0.8632)
 
 
+# visited by the fig3_ff17 pattern search at seed 7; phase 1 of its root LP
+# once pivoted on rounding noise (~1e-10) until the iteration limit
+NOISE_PIVOT_POINT = (
+    0.6046941412131923, 0.1552811641637678, 0.6441092264060563,
+    0.34515189763894294, 0.4746004827170889, 0.4678080355738603,
+    0.5853420651287506, 0.24125790347538956, 0.36049121027013176,
+    0.2907332563138447, 0.5357595420369766, 0.31426004233688465,
+    0.32440234110580723, 0.8268302750081956, 0.6057977332854801,
+    0.5011699534899607, 0.5805281825713472)
+
+
 @pytest.mark.parametrize("point, ff, opt", [
     ("nominal", 9, 8),
     (ROADMAP_POINT, 11, 11),  # volume bound 9: FF is optimal only by search
-], ids=["nominal", "roadmap_point"])
+    (NOISE_PIVOT_POINT, 10, 9),
+], ids=["nominal", "roadmap_point", "noise_pivot_point"])
 def test_optimal_vbp_seventeen_balls(point, ff, opt):
     sizes = ([s[0] for s in builtin("fig3_ff17").instance.sizes]
              if point == "nominal" else list(point))
