@@ -8,7 +8,9 @@ its upper bound, so every nonbasic y_j is 0 and the last column holds the
 basic values.
 
 `solve_lp_arrays` runs phase 1 on artificial columns and then phase 2, both
-with Bland's rule and a bounded ratio test. Bland's rule rules out cycling
+with Bland's rule and a bounded ratio test; when Bland's leaving row would
+pivot on an entry below 1e-7 (rounding noise), the largest pivot within
+tolerance of the least ratio leaves instead. Bland's rule rules out cycling
 only in exact arithmetic: under float tolerances a degenerate LP can still
 stall (a 265x361 bin-packing tableau once ran 127k pivots), so every loop
 stops at an iteration limit and raises NumericalInstability. Branch and
