@@ -128,7 +128,7 @@ def solve_mip(prog, node_limit=DEFAULT_NODE_LIMIT, integral_objective=None):
             status, solved = cold_start(A, senses, b, c, sense, lo, up)
             if status != "optimal":
                 return status, None, None
-            if root is None and not node.fixed:
+            if not node.fixed:  # the root: every later node warm-starts from it
                 root, tab, last = solved, solved.copy(), solved.copy()
             else:
                 tab = solved
