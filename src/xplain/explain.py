@@ -15,11 +15,12 @@ import numpy as np
 
 from .analyzer import InputSpace
 from .heuristics import (
+    min_bins,
     optimal_te,
-    optimal_vbp,
     project_allocation,
     run_dp,
     run_ff,
+    sized_instance,
     to_flow_network,
 )
 from .rng import substream
@@ -173,24 +174,16 @@ def scenario_evaluators(scenario):
         return net, heuristic_eval, benchmark_eval
 
     if scenario.kind == "vbp":
-        base = inst
-        if not base.unbounded:
-            if not base.identical_bins():
-                raise ValueError("explanations need one bin type")
-            base = base.__class__(base.sizes, None, base.bins[0])
-        net = to_flow_network(base, "ff", n_bins=base.n_balls)
-
-        def sized(x):
-            return base.replace_sizes(
-                tuple((float(s),) for s in np.asarray(x, dtype=float).ravel()))
+        net = to_flow_network(sized_instance(inst, scenario.baseline_inputs()), "ff",
+                              n_bins=inst.n_balls)
 
         def heuristic_eval(x):
-            s = sized(x)
+            s = sized_instance(inst, x)
             return project_allocation(run_ff(s)[0], net, s)
 
         def benchmark_eval(x):
-            s = sized(x)
-            return project_allocation(optimal_vbp(s), net, s)
+            s = sized_instance(inst, x)
+            return project_allocation(min_bins(s), net, s)
 
         return net, heuristic_eval, benchmark_eval
 

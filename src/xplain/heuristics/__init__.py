@@ -32,7 +32,16 @@ from .te import (
     optimal_te,
     run_dp,
 )
-from .vbp import FfTrace, Unplaceable, VbpAllocation, VbpInstance, optimal_vbp, run_ff
+from .vbp import (
+    FfTrace,
+    Unplaceable,
+    VbpAllocation,
+    VbpInstance,
+    min_bins,
+    optimal_vbp,
+    run_ff,
+    sized_instance,
+)
 
 __all__ = [
     "EPS_DEN", "dp_gap_fn", "ff_gap_fn", "gap",
@@ -42,5 +51,6 @@ __all__ = [
     "scenario_from_dict", "scenario_to_dict",
     "Demand", "Link", "TeAllocation", "TeInstance", "all_simple_paths",
     "k_shortest_paths", "make_instance", "optimal_te", "run_dp",
-    "FfTrace", "Unplaceable", "VbpAllocation", "VbpInstance", "optimal_vbp", "run_ff",
+    "FfTrace", "Unplaceable", "VbpAllocation", "VbpInstance", "min_bins", "optimal_vbp",
+    "run_ff", "sized_instance",
 ]

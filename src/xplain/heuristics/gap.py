@@ -3,7 +3,7 @@
 import numpy as np
 
 from .te import optimal_te, run_dp
-from .vbp import run_ff, optimal_vbp
+from .vbp import min_bins, run_ff, sized_instance
 
 EPS_DEN = 1e-9
 
@@ -50,19 +50,13 @@ def ff_gap_fn(inst, mode="absolute"):
     """
     if inst.dim != 1:
         raise ValueError("gap search expects single-dimension balls")
-    base = inst
-    if not base.unbounded:
-        if not base.identical_bins():
-            raise ValueError("gap search needs one bin type")
-        base = base.__class__(base.sizes, None, base.bins[0])
 
     def fn(sizes):
-        sized = base.replace_sizes(
-            tuple((float(s),) for s in np.asarray(sizes, dtype=float).ravel()))
+        sized = sized_instance(inst, sizes)
         return gap(
             sizes,
             lambda _x: run_ff(sized)[0].bins_used,
-            lambda _x: optimal_vbp(sized).bins_used,
+            lambda _x: min_bins(sized).bins_used,
             mode=mode,
             sense="min",
         )

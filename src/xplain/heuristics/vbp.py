@@ -1,10 +1,25 @@
-"""Vector bin packing: first-fit and the exact minimum-bins benchmark."""
+"""Vector bin packing: first-fit and the exact minimum-bins benchmark.
 
+`min_bins` is the benchmark: for 1-D balls in an unbounded pool of one bin
+type it settles most instances with lower bounds and cheap packings, and
+hands the rest, and every other instance, to the assignment MILP of
+`optimal_vbp`.
+"""
+
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import math
 
 import numpy as np
+
+from ..solver.work import open_counts
+from .binpack_bounds import FIT_TOL, gilmore_gomory_bound, l2_bound
+
+# min_bins asks the search only for a bin count that a lower bound has
+# reached, never to prove that none fits; over 1,200 seeded points of 4 to
+# 17 balls it needed at most 1,727 nodes
+SEARCH_NODE_LIMIT = 20_000
 
 
 class Unplaceable(Exception):
@@ -84,10 +99,22 @@ class VbpInstance:
         """Unbounded instance pinned down to a concrete pool of `count` bins."""
         return VbpInstance(self.sizes, self.bin_list(count))
 
-    def replace_sizes(self, sizes):
-        if self.bins is not None:
-            return VbpInstance(tuple(sizes), self.bins)
-        return VbpInstance(tuple(sizes), None, self.bin_capacity)
+
+def sized_instance(inst, sizes):
+    """An unbounded pool of `inst`'s one bin type, holding 1-D balls `sizes`.
+
+    This is the shape the gap, `explain` and `run-heuristic` evaluate, so
+    that every size vector of the box has a packing. Raises ValueError when
+    `inst` has a fixed pool of mixed bin types.
+    """
+    if inst.unbounded:
+        cap = inst.bin_capacity
+    elif inst.identical_bins():
+        cap = inst.bins[0]
+    else:
+        raise ValueError("size inputs need one bin type")
+    balls = tuple((float(s),) for s in np.asarray(sizes, dtype=float).ravel())
+    return VbpInstance(balls, None, cap)
 
 
 @dataclass(frozen=True)
@@ -198,7 +225,7 @@ def _volume_bound(inst, bins):
 
 
 def optimal_vbp(inst, node_limit=None):
-    """Exact minimum number of bins.
+    """Exact minimum number of bins, by MILP; `min_bins`'s fallback.
 
     First-fit's packing is an upper bound, and it is returned when it meets
     the lower bound (the volume bound for identical bins, else one bin).
@@ -266,3 +293,108 @@ def optimal_vbp(inst, node_limit=None):
     bins_used = int(round(sol.objective))
     return VbpAllocation(tuple(assignment), bins_used,
                          _loads(inst, assignment, n_bins))
+
+
+def _allocation(inst, assignment):
+    n_bins = max(assignment) + 1
+    return VbpAllocation(tuple(assignment), len(set(assignment)),
+                         _loads(inst, assignment, n_bins))
+
+
+def _pack(sizes, cap, k, node_limit):
+    """A ball -> bin assignment of 1-D `sizes` into at most `k` bins, or None.
+
+    Depth-first search: balls largest first, each into the first bin it
+    fits, and each distinct bin load tried once (so one empty bin), so the
+    first descent is first-fit decreasing; with k = len(sizes) it never
+    backtracks, and len(sizes) nodes suffice. A branch is cut when the
+    balls left outweigh the room they can still use: in each bin, the
+    lesser of its free room and the total of the balls left that fit
+    there. None when no packing exists or the search has visited
+    `node_limit` nodes.
+    """
+    c = cap + FIT_TOL
+    n = len(sizes)
+    order = sorted(range(n), key=lambda i: (-sizes[i], i))
+    desc = [sizes[i] for i in order]
+    rising = [-s for s in desc]
+    tail = [0.0] * (n + 1)
+    for t in range(n - 1, -1, -1):
+        tail[t] = tail[t + 1] + desc[t]
+    loads = [0.0] * k
+    assignment = [0] * n
+    nodes = 0
+
+    def usable(t):
+        room = 0.0
+        for load in loads:
+            free = c - load
+            room += min(free, tail[bisect_left(rising, -free, lo=t)])
+        return room
+
+    def place(t):
+        nonlocal nodes
+        if t == n:
+            return True
+        nodes += 1
+        if nodes > node_limit or usable(t) + FIT_TOL < tail[t]:
+            return False
+        size, tried = desc[t], set()
+        for j, load in enumerate(loads):
+            if load in tried or load + size > c:
+                continue
+            tried.add(load)
+            loads[j] = load + size
+            assignment[order[t]] = j
+            if place(t + 1):
+                return True
+            loads[j] = load
+        return False
+
+    return assignment if place(0) else None
+
+
+def _settled(how, alloc):
+    work = open_counts()
+    if work is not None:
+        setattr(work, how, getattr(work, how) + 1)
+    return alloc
+
+
+def min_bins(inst):
+    """Exact minimum-bin packing, bound first.
+
+    For 1-D balls in an unbounded pool of one bin type, each step returns
+    as soon as a packing meets the best lower bound so far:
+
+    1. first-fit's packing, against max(volume bound, L2);
+    2. first-fit decreasing (FFD);
+    3. the better of the two, against the Gilmore-Gomory LP bound;
+    4. a packing into exactly that many bins by `_pack`'s bounded search.
+
+    The MILP of `optimal_vbp` runs only when the search gives up, or for
+    any other instance. Packings fit under the tolerant test of
+    `binpack_bounds`. Inside `solver.counting()` each call adds one to the
+    count of the step that settled it (`vbp_milp` for `optimal_vbp`).
+    """
+    if not (inst.unbounded and inst.dim == 1 and inst.n_balls):
+        return _settled("vbp_milp", optimal_vbp(inst))
+    ff = run_ff(inst)[0]
+    sizes = [s[0] for s in inst.sizes]
+    cap = inst.bin_capacity[0]
+    lower = max(1, l2_bound(sizes, cap))
+    if ff.bins_used <= lower:
+        return _settled("vbp_bound", ff)
+    ffd = _allocation(inst, _pack(sizes, cap, len(sizes), len(sizes)))
+    if ffd.bins_used <= lower:
+        return _settled("vbp_ffd", ffd)
+    best = ff if ff.bins_used <= ffd.bins_used else ffd
+    patterns = [[i for i, j in enumerate(alloc.assignment) if j == b]
+                for alloc in (ff, ffd) for b in set(alloc.assignment)]
+    lower = max(lower, gilmore_gomory_bound(sizes, cap, patterns, best.bins_used))
+    if best.bins_used <= lower:
+        return _settled("vbp_gg", best)
+    found = _pack(sizes, cap, lower, SEARCH_NODE_LIMIT)
+    if found is not None:
+        return _settled("vbp_search", _allocation(inst, found))
+    return _settled("vbp_milp", optimal_vbp(inst))

@@ -1,4 +1,4 @@
-"""Deterministic work counters for the solver.
+"""Deterministic work counters for the solver and the exact bin packer.
 
     with counting() as work:
         solve_mip(prog)
@@ -18,6 +18,12 @@ from dataclasses import dataclass
 class WorkCounts:
     pivots: int = 0  # simplex basis changes, in every LP and B&B node
     nodes: int = 0   # branch-and-bound nodes popped, pruned ones included
+    # heuristics.vbp.min_bins calls, by the step that settled each
+    vbp_bound: int = 0   # first-fit met max(volume bound, L2)
+    vbp_ffd: int = 0     # first-fit decreasing met it
+    vbp_gg: int = 0      # the Gilmore-Gomory bound proved the better of the two
+    vbp_search: int = 0  # the packing search met the bound
+    vbp_milp: int = 0    # handed to optimal_vbp
 
 
 _OPEN = contextvars.ContextVar("xplain_solver_work", default=None)

@@ -68,6 +68,17 @@ def test_run_heuristic_wrong_arity(tmp_path, capsys):
     assert code == 1
 
 
+def test_run_heuristic_needs_one_bin_type(tmp_path, capsys):
+    mixed = dict(TWO_BALLS, bins=[0.8, 1.0])
+    cfg = write_config(tmp_path, "c.json", {"scenario": mixed})
+    code, _ = run_cli(capsys, "run-heuristic", "--config", cfg, "--seed", "1")
+    assert code == 1
+    fixed = dict(TWO_BALLS, bins=[1.0, 1.0])
+    cfg = write_config(tmp_path, "c.json", {"scenario": fixed})
+    code, out = run_cli(capsys, "run-heuristic", "--config", cfg, "--seed", "1")
+    assert code == 0 and out == "FF 2\nOPT 2\n"
+
+
 # analyze
 
 def test_analyze_finds_ff_gap(tmp_path, capsys):
@@ -343,6 +354,11 @@ def test_seed_from_config(tmp_path, capsys):
                        {"scenario": "fig1a_dp", "seed": 11})
     code, out = run_cli(capsys, "run-heuristic", "--config", cfg)
     assert code == 0 and out.startswith("DP total")
+
+
+def test_threads_flag_is_gone(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {"scenario": "fig1a_dp"})
+    assert main(["run-heuristic", "--config", cfg, "--seed", "1", "--threads", "2"]) == 1
 
 
 def test_seed_range_checked(tmp_path, capsys):

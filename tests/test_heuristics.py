@@ -17,15 +17,18 @@ from xplain.heuristics import (
     k_shortest_paths,
     load_scenario,
     make_instance,
+    min_bins,
     optimal_te,
     optimal_vbp,
     project_allocation,
     run_dp,
     run_ff,
     save_scenario,
+    sized_instance,
     to_flow_network,
     Unplaceable,
 )
+from xplain.heuristics.binpack_bounds import gilmore_gomory_bound, l2_bound
 from xplain.solver import Solution, SolverError, counting
 
 
@@ -306,6 +309,141 @@ def test_optimal_vbp_names_an_unexpected_solver_status(monkeypatch):
                         lambda prog, **kwargs: Solution(status="unbounded"))
     with pytest.raises(SolverError, match="unbounded"):
         optimal_vbp(builtin("ff4").instance)
+
+
+# --- bound-first packing ----------------------------------------------------
+
+def _found_class(rng):
+    # uniform in [0.2, 0.6], n = 12-15, first-fit one bin above the volume bound
+    while True:
+        sizes = [float(v) for v in rng.uniform(0.2, 0.6, int(rng.integers(12, 16))).round(4)]
+        if run_ff(VbpInstance(tuple(sizes)))[0].bins_used == math.ceil(sum(sizes) - 1e-9) + 1:
+            return sizes
+
+
+def _grid(rng):
+    return [float(v) / 20 for v in rng.integers(1, 21, int(rng.integers(4, 15)))]
+
+
+def _uniform(rng):
+    return [float(v) for v in rng.random(int(rng.integers(4, 15))).round(4)]
+
+
+SIZE_CLASSES = {"found": _found_class, "grid": _grid, "uniform": _uniform}
+
+
+@pytest.mark.parametrize("kind", list(SIZE_CLASSES))
+def test_min_bins_matches_subset_dp_oracle(kind):
+    rng = np.random.default_rng([20261018, list(SIZE_CLASSES).index(kind)])
+    with counting() as work:
+        for _ in range(30):
+            sizes = SIZE_CLASSES[kind](rng)
+            inst = VbpInstance(tuple(sizes))
+            alloc = min_bins(inst)
+            assert alloc.bins_used == bin_packing_oracle(sizes), sizes
+            _check_packing(inst, alloc)
+    settled = (work.vbp_bound, work.vbp_ffd, work.vbp_gg, work.vbp_search, work.vbp_milp)
+    assert sum(settled) == 30
+    assert work.vbp_milp == 0 and work.nodes == 0
+
+
+def test_l2_bound_hand_worked_values():
+    # three balls above 0.65 each need a bin no 0.35 ball can share: 3 + 1
+    assert l2_bound([0.7, 0.7, 0.7, 0.35, 0.35], 1.0) == 4
+    assert l2_bound([0.6, 0.6, 0.6], 1.0) == 3
+    # threshold 0.4: two 0.6 bins keep 0.8 free for 1.2 of small balls
+    assert l2_bound([0.6, 0.6, 0.4, 0.4, 0.4], 1.0) == 3
+    assert l2_bound([0.5] * 4, 1.0) == 2
+    # integer sizes, capacity 100: L2 is the volume bound, the LP bound is OPT
+    sizes = [99, 94, 79, 64, 50, 46, 43, 37, 32, 19, 18, 7, 6, 3]
+    assert l2_bound(sizes, 100) == 6
+    assert gilmore_gomory_bound(sizes, 100) == 7 == bin_packing_oracle(sizes, 100)
+
+
+def test_l2_and_gilmore_gomory_never_exceed_the_optimum():
+    rng = np.random.default_rng(61)
+    for kind in SIZE_CLASSES:
+        for _ in range(15):
+            sizes = SIZE_CLASSES[kind](rng)
+            opt = bin_packing_oracle(sizes)
+            assert l2_bound(sizes, 1.0) <= opt, sizes
+            assert gilmore_gomory_bound(sizes, 1.0) <= opt, sizes
+
+
+@pytest.mark.parametrize("bin_sizes", [(0.8, 0.05, 0.05, 0.05, 0.05),
+                                       (0.4, 0.2, 0.15, 0.15, 0.1)])
+def test_min_bins_fits_float_sums_just_above_a_bin(bin_sizes):
+    # each group sums to 1.0000000000000002 in floats when added largest
+    # first; first-fit's exact test opens a fourth bin, the tolerant one not
+    sizes = list(bin_sizes) * 3
+    inst = VbpInstance(tuple(sizes))
+    assert run_ff(inst)[0].bins_used == 4
+    assert l2_bound(sizes, 1.0) == gilmore_gomory_bound(sizes, 1.0) == 3
+    with counting() as work:
+        alloc = min_bins(inst)
+    assert alloc.bins_used == 3 == bin_packing_oracle(sizes)
+    _check_packing(inst, alloc)
+    assert work.vbp_milp == 0
+
+
+@pytest.mark.parametrize("seed, i, ff, opt, l2", [
+    (3, 1, 10, 10, 9),
+    (3, 11, 10, 10, 9),
+    (1, 2, 9, 9, 8),
+    (4, 22, 9, 9, 8),
+])
+def test_min_bins_settles_fig3_ff17_draws_without_milp(seed, i, ff, opt, l2):
+    # points the vbp-ff17 benchmark draws from the fig3_ff17 box
+    bounds = np.array(builtin("fig3_ff17").bounds)
+    u = np.random.default_rng([seed, i]).random(len(bounds))
+    sizes = (bounds[:, 0] + u * (bounds[:, 1] - bounds[:, 0])).tolist()
+    inst = VbpInstance(tuple(sizes))
+    assert run_ff(inst)[0].bins_used == ff
+    assert l2_bound(sizes, 1.0) == l2
+    with counting() as work:
+        alloc = min_bins(inst)
+    assert alloc.bins_used == opt == bin_packing_oracle(sizes)
+    _check_packing(inst, alloc)
+    assert work.vbp_milp == 0 and work.nodes == 0
+
+
+# FF and FFD use 6 bins, L2 and the Gilmore-Gomory bound say 5: only the
+# search finds a 5-bin packing
+SEARCH_POINT = (0.2011, 0.392, 0.2735, 0.4638, 0.3222, 0.2596, 0.2335,
+                0.5345, 0.3877, 0.4074, 0.5369, 0.4269, 0.3067)
+
+
+def test_min_bins_falls_back_to_the_milp_when_the_search_gives_up(monkeypatch):
+    import xplain.heuristics.vbp as vbp
+
+    inst = VbpInstance(SEARCH_POINT)
+    with counting() as work:
+        assert min_bins(inst).bins_used == 5
+    assert work.vbp_search == 1 and work.nodes == 0
+    monkeypatch.setattr(vbp, "SEARCH_NODE_LIMIT", 0)
+    with counting() as work:
+        alloc = min_bins(inst)
+    assert alloc.bins_used == 5 == bin_packing_oracle(list(SEARCH_POINT))
+    _check_packing(inst, alloc)
+    assert work.vbp_milp == 1 and work.nodes > 0
+
+
+def test_min_bins_hands_other_shapes_to_the_milp():
+    two_d = VbpInstance(((0.5, 0.9), (0.5, 0.2), (0.4, 0.1)), bin_capacity=(1.0, 1.0))
+    fixed = VbpInstance((0.5, 0.5, 0.3), bins=(1.0, 1.0))
+    for inst in (two_d, fixed, VbpInstance(())):
+        with counting() as work:
+            assert min_bins(inst) == optimal_vbp(inst)
+        assert work.vbp_milp == 1
+
+
+def test_sized_instance_pools_the_one_bin_type():
+    fixed = VbpInstance((0.5, 0.5), bins=(0.8, 0.8))
+    sized = sized_instance(fixed, np.array([0.3, 0.3, 0.3]))
+    assert sized.unbounded and sized.bin_capacity == (0.8,)
+    assert sized.sizes == ((0.3,), (0.3,), (0.3,))
+    with pytest.raises(ValueError, match="one bin type"):
+        sized_instance(VbpInstance((0.5,), bins=(0.8, 1.0)), [0.3])
 
 
 # --- gap --------------------------------------------------------------------
