@@ -211,7 +211,7 @@ def cmd_run_heuristic(cfg, args):
             sized = sized_instance(sc.instance, x)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        ff = run_ff(sized)[0]
+        ff = run_ff(sized)
         # the MILP, not min_bins, until bench/tracer.py can time a command
         # shorter than its gauge's 20 ms sampling interval (see ROADMAP)
         opt = optimal_vbp(sized)

@@ -179,7 +179,7 @@ def scenario_evaluators(scenario):
 
         def heuristic_eval(x):
             s = sized_instance(inst, x)
-            return project_allocation(run_ff(s)[0], net, s)
+            return project_allocation(run_ff(s), net, s)
 
         def benchmark_eval(x):
             s = sized_instance(inst, x)

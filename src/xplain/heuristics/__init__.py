@@ -33,7 +33,6 @@ from .te import (
     run_dp,
 )
 from .vbp import (
-    FfTrace,
     Unplaceable,
     VbpAllocation,
     VbpInstance,
@@ -51,6 +50,6 @@ __all__ = [
     "scenario_from_dict", "scenario_to_dict",
     "Demand", "Link", "TeAllocation", "TeInstance", "all_simple_paths",
     "k_shortest_paths", "make_instance", "optimal_te", "run_dp",
-    "FfTrace", "Unplaceable", "VbpAllocation", "VbpInstance", "min_bins", "optimal_vbp",
+    "Unplaceable", "VbpAllocation", "VbpInstance", "min_bins", "optimal_vbp",
     "run_ff", "sized_instance",
 ]

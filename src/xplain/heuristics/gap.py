@@ -55,7 +55,7 @@ def ff_gap_fn(inst, mode="absolute"):
         sized = sized_instance(inst, sizes)
         return gap(
             sizes,
-            lambda _x: run_ff(sized)[0].bins_used,
+            lambda _x: run_ff(sized).bins_used,
             lambda _x: min_bins(sized).bins_used,
             mode=mode,
             sense="min",

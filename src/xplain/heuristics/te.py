@@ -7,9 +7,11 @@ path-based max-flow without pinning anything.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .. import solver
 from .._validation import check_array_1d, check_scalar
 
 
@@ -74,6 +76,29 @@ class TeInstance:
     def capacities(self):
         return {l.key: l.capacity for l in self.links}
 
+    @cached_property
+    def flow_layout(self):
+        """The path-based max-flow's columns, laid out once per instance.
+
+        Column j is the flow of demand k on its path p, numbered in (k, p)
+        order. Returns (variables, demand_columns, link_columns): the
+        column Variables named f:k:p, each demand's columns, and each
+        link's crossing columns in increasing order.
+        """
+        variables, demand_columns = [], []
+        crossing = {(l.src, l.dst): [] for l in self.links}
+        for k, dem in enumerate(self.demands):
+            cols = []
+            for p, path in enumerate(dem.paths):
+                j = len(variables)
+                variables.append(solver.Variable(f"f:{k}:{p}"))
+                cols.append(j)
+                for hop in dict.fromkeys(_path_links(path)):
+                    crossing[hop].append(j)
+            demand_columns.append(tuple(cols))
+        link_columns = tuple(tuple(crossing[(l.src, l.dst)]) for l in self.links)
+        return tuple(variables), tuple(demand_columns), link_columns
+
 
 def all_simple_paths(nodes, links, src, dst):
     """Every simple directed path src -> dst, as node tuples."""
@@ -137,38 +162,33 @@ class TeAllocation:
 def _max_flow(inst, d, residual, skip):
     """Path-based max flow over residual capacities, skipping pinned demands.
 
-    Returns per-demand per-path flows (zeros for skipped demands).
+    Builds the program's rows straight from the instance's flow layout: one
+    row per unpinned demand, then one per link that an unpinned path
+    crosses. Returns per-demand per-path flows (zeros for skipped demands).
     """
-    from ..solver import LE, ConstraintProgram, solve_lp
-
-    prog = ConstraintProgram(sense="max")
-    var = {}
-    for k, dem in enumerate(inst.demands):
-        if k in skip:
-            continue
-        for p, _path in enumerate(dem.paths):
-            var[(k, p)] = prog.add_variable(f"f:{k}:{p}")
-    objective = {idx: 1.0 for idx in var.values()}
-
-    for k, dem in enumerate(inst.demands):
-        if k in skip:
-            continue
-        prog.add_constraint({var[(k, p)]: 1.0 for p in range(len(dem.paths))},
-                            LE, float(d[k]))
-    for link in inst.links:
-        hop = (link.src, link.dst)
-        coeffs = {}
-        for (k, p), idx in var.items():
-            if hop in _path_links(inst.demands[k].paths[p]):
-                coeffs[idx] = 1.0
+    variables, demand_columns, link_columns = inst.flow_layout
+    col, rows = {}, []  # col: layout column -> program column
+    for k, cols in enumerate(demand_columns):
+        if k not in skip:
+            for j in cols:
+                col[j] = len(col)
+            rows.append(solver.Constraint(tuple((col[j], 1.0) for j in cols),
+                                          solver.LE, float(d[k])))
+    for link, cols in zip(inst.links, link_columns):
+        coeffs = tuple((col[j], 1.0) for j in cols if j in col)
         if coeffs:
-            prog.add_constraint(coeffs, LE, residual[link.key])
-    prog.set_objective(objective, "max")
-    sol = solve_lp(prog)
+            rows.append(solver.Constraint(coeffs, solver.LE,
+                                          float(residual[link.key])))
+    prog = solver.ConstraintProgram(
+        variables=[variables[j] for j in col], constraints=rows,
+        objective=dict.fromkeys(range(len(col)), 1.0), sense=solver.MAXIMIZE)
+    sol = solver.solve_lp(prog)
 
     flows = [[0.0] * len(dem.paths) for dem in inst.demands]
-    for (k, p), idx in var.items():
-        flows[k][p] = max(0.0, float(sol.values[idx]))
+    for k, cols in enumerate(demand_columns):
+        if k not in skip:
+            for p, j in enumerate(cols):
+                flows[k][p] = max(0.0, float(sol.values[col[j]]))
     return flows
 
 

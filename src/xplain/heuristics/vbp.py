@@ -118,22 +118,6 @@ def sized_instance(inst, sizes):
 
 
 @dataclass(frozen=True)
-class FfTrace:
-    """Everything first-fit looked at, per (ball, bin) pair.
-
-    residual[i][j] is what would remain of bin j after placing ball i there
-    (capacity minus ball minus earlier placements); fits/not_yet_placed are
-    the two conjuncts of the first-fit test and first_fit their AND.
-    """
-
-    residual: tuple        # (n_balls, n_bins, dim)
-    fits: tuple            # (n_balls, n_bins)
-    not_yet_placed: tuple  # (n_balls, n_bins)
-    first_fit: tuple       # (n_balls, n_bins)
-    assignment: tuple      # ball -> bin index
-
-
-@dataclass(frozen=True)
 class VbpAllocation:
     assignment: tuple  # ball -> bin index
     bins_used: int
@@ -151,64 +135,35 @@ def _loads(inst, assignment, n_bins):
 def run_ff(inst):
     """First-fit in index order; lowest-index bin whose residual fits, all dims.
 
-    Returns (VbpAllocation, FfTrace). With an unbounded pool a fresh bin is
-    opened whenever nothing fits; with a fixed pool Unplaceable is raised.
+    Returns the VbpAllocation. With an unbounded pool a fresh bin is opened
+    whenever nothing fits; with a fixed pool Unplaceable is raised.
     """
     fixed = inst.bins is not None
     bins = list(inst.bins) if fixed else []
     used = [[0.0] * inst.dim for _ in bins]
     assignment = []
-    residual, fits, not_yet, first = [], [], [], []
 
     for i, size in enumerate(inst.sizes):
         placed = None
         for j, cap in enumerate(bins):
-            r = tuple(cap[d] - size[d] - used[j][d] for d in range(inst.dim))
-            ok = all(v >= 0 for v in r)
-            free = placed is None
-            residual.append((i, j, r))
-            fits.append((i, j, ok))
-            not_yet.append((i, j, free))
-            hit = ok and free
-            first.append((i, j, hit))
-            if hit:
+            if all(cap[d] - size[d] - used[j][d] >= 0 for d in range(inst.dim)):
                 placed = j
+                break
         if placed is None:
             if fixed:
                 raise Unplaceable(i)
-            bins.append(inst.bin_capacity)
-            used.append([0.0] * inst.dim)
-            j = len(bins) - 1
-            r = tuple(bins[j][d] - size[d] for d in range(inst.dim))
-            if any(v < 0 for v in r):
+            cap = inst.bin_capacity
+            if any(cap[d] - size[d] < 0 for d in range(inst.dim)):
                 raise Unplaceable(i)
-            residual.append((i, j, r))
-            fits.append((i, j, True))
-            not_yet.append((i, j, True))
-            first.append((i, j, True))
-            placed = j
+            bins.append(cap)
+            used.append([0.0] * inst.dim)
+            placed = len(bins) - 1
         for d in range(inst.dim):
             used[placed][d] += size[d]
         assignment.append(placed)
 
-    n_bins = len(bins)
-    bins_used = len({j for j in assignment})
-
-    def table(entries, empty):
-        grid = [[empty] * n_bins for _ in range(inst.n_balls)]
-        for i, j, v in entries:
-            grid[i][j] = v
-        return tuple(tuple(row) for row in grid)
-
-    trace = FfTrace(
-        residual=table(residual, None),
-        fits=table(fits, False),
-        not_yet_placed=table(not_yet, False),
-        first_fit=table(first, False),
-        assignment=tuple(assignment),
-    )
-    alloc = VbpAllocation(tuple(assignment), bins_used, _loads(inst, assignment, n_bins))
-    return alloc, trace
+    bins_used = len(set(assignment))
+    return VbpAllocation(tuple(assignment), bins_used, _loads(inst, assignment, len(bins)))
 
 
 def _volume_bound(inst, bins):
@@ -238,7 +193,7 @@ def optimal_vbp(inst, node_limit=None):
 
     if inst.n_balls == 0:
         return VbpAllocation((), 0, ())
-    ff_alloc, _ = run_ff(inst)
+    ff_alloc = run_ff(inst)
     ff_bins = ff_alloc.bins_used
     symmetric = inst.identical_bins()
     bound = _volume_bound(inst, inst.bin_list(1)) if symmetric else 1
@@ -379,7 +334,7 @@ def min_bins(inst):
     """
     if not (inst.unbounded and inst.dim == 1 and inst.n_balls):
         return _settled("vbp_milp", optimal_vbp(inst))
-    ff = run_ff(inst)[0]
+    ff = run_ff(inst)
     sizes = [s[0] for s in inst.sizes]
     cap = inst.bin_capacity[0]
     lower = max(1, l2_bound(sizes, cap))

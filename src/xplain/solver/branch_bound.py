@@ -237,7 +237,7 @@ def solve_mip(prog, node_limit=DEFAULT_NODE_LIMIT, integral_objective=None):
     if incumbent is None:
         return Solution(status="infeasible")
     obj, x = incumbent
-    if not _verify(prog, x):
+    if not _verify(prog, x, A, senses, b):
         raise NumericalInstability("incumbent failed the feasibility recheck")
     for g in groups:
         if sum(1 for mem in g if x[mem] > max(_FLOW_TOL, EPS_FEAS)) > 1:

@@ -357,8 +357,8 @@ def solve_lp_arrays(A, senses, b, c, sense=MAXIMIZE, uppers=None):
     return "optimal", float(c @ xv), xv
 
 
-def _verify(prog, xv):
-    A, senses, b, _ = prog.dense()
+def _verify(prog, xv, A, senses, b):
+    """Does xv satisfy prog's rows (A, senses, b from prog.dense()) and bounds?"""
     if A.size:
         lhs = A @ xv
         for r, sense in enumerate(senses):
@@ -385,7 +385,7 @@ def solve_lp(prog):
     status, obj, xv = solve_lp_arrays(A, senses, b, c, prog.sense, uppers)
     if status != "optimal":
         return Solution(status=status)
-    if not _verify(prog, xv):
+    if not _verify(prog, xv, A, senses, b):
         raise NumericalInstability("solution failed the feasibility recheck")
     return Solution(status="optimal", objective=obj, values=xv,
                     names=tuple(v.name for v in prog.variables))

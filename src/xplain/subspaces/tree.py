@@ -71,25 +71,15 @@ def _best_split_on_feature(xf, y, min_leaf):
 class GapRegressionTree:
     """CART regressor with variance-reduction splits.
 
-    Estimator-style interface: construct with hyperparameters, then fit on
-    (X, y). Stops at max_depth, at leaves smaller than min_leaf, or when a
-    node's targets are constant; split ties break toward the lowest
-    feature index, then the lowest threshold.
+    Construct with hyperparameters, then fit on (X, y). Stops at
+    max_depth, at leaves smaller than min_leaf, or when a node's targets
+    are constant; split ties break toward the lowest feature index, then
+    the lowest threshold.
     """
 
     def __init__(self, max_depth=4, min_leaf=30):
         self.max_depth = max_depth
         self.min_leaf = min_leaf
-
-    def get_params(self, deep=True):
-        return {"max_depth": self.max_depth, "min_leaf": self.min_leaf}
-
-    def set_params(self, **params):
-        for key, value in params.items():
-            if key not in ("max_depth", "min_leaf"):
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)

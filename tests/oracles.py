@@ -2,7 +2,8 @@
 
 These deliberately share no code with the package: the LP oracle enumerates
 constraint-intersection vertices, the MILP oracle enumerates binary patterns
-on top of it, and the Wilcoxon oracle enumerates sign patterns literally.
+on top of it, the Wilcoxon oracle enumerates sign patterns literally, and
+the Kendall oracle enumerates every permutation of the gaps.
 """
 
 import itertools
@@ -148,6 +149,32 @@ def wilcoxon_oracle(diffs, alternative="greater"):
     if alternative == "less":
         return w_obs, p_le
     return w_obs, min(1.0, 2.0 * min(p_ge, p_le))
+
+
+def kendall_oracle(pairs, alternative="greater"):
+    """Exact Kendall trend p by literal enumeration of the n! permutations.
+
+    S = sum over i < j of sign(x_j - x_i) * sign(y_j - y_i); p is the share
+    of permutations of y whose S is at least (greater), at most (less) the
+    observed one, or twice the smaller share (two-sided, capped at 1).
+    """
+    x = np.array([float(a) for a, _ in pairs])
+    y = np.array([float(b) for _, b in pairs])
+    n = len(x)
+    i, j = np.triu_indices(n, 1)
+    sx = np.sign(x[j] - x[i]).astype(np.int64)
+    s_obs = int(np.sum(sx * np.sign(y[j] - y[i]).astype(np.int64)))
+    perms = np.array(list(itertools.permutations(range(n))))
+    yp = y[perms]
+    s_all = (np.sign(yp[:, j] - yp[:, i]).astype(np.int64) * sx).sum(axis=1)
+    total = len(perms)
+    p_ge = int(np.count_nonzero(s_all >= s_obs)) / total
+    p_le = int(np.count_nonzero(s_all <= s_obs)) / total
+    if alternative == "greater":
+        return p_ge
+    if alternative == "less":
+        return p_le
+    return min(1.0, 2.0 * min(p_ge, p_le))
 
 
 def bin_packing_oracle(sizes, capacity=1.0):

@@ -76,7 +76,7 @@ def test_criterion_01_fig1a_numbers(capsys):
 def test_criterion_02_ff_four_balls(capsys):
     sc = builtin("ff4")
     t0 = time.perf_counter()
-    ff = run_ff(sc.instance)[0].bins_used
+    ff = run_ff(sc.instance).bins_used
     opt = optimal_vbp(sc.instance).bins_used
     elapsed = time.perf_counter() - t0
     ok = ff == 3 and opt == 2 and elapsed < 1.0
@@ -86,7 +86,7 @@ def test_criterion_02_ff_four_balls(capsys):
 def test_criterion_03_ff_seventeen_balls(capsys):
     sc = builtin("fig3_ff17")
     t0 = time.perf_counter()
-    ff = run_ff(sc.instance)[0].bins_used
+    ff = run_ff(sc.instance).bins_used
     opt = optimal_vbp(sc.instance, node_limit=10 ** 6).bins_used
     elapsed = time.perf_counter() - t0
     ok = ff == 9 and opt == 8 and elapsed < 60.0

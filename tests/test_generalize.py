@@ -66,7 +66,7 @@ def test_vbp_random_instances_are_runnable():
     assert [sc.instance.n_balls for sc in insts] == [4, 5, 6, 7, 8]
     for sc in insts:
         assert sc.kind == "vbp"
-        alloc, _ = run_ff(sc.instance)
+        alloc = run_ff(sc.instance)
         assert alloc.bins_used >= 1
         assert ball_size_sum(sc) == pytest.approx(sc.instance.n_balls * 1.0)
 

