@@ -8,6 +8,7 @@ path-based max-flow without pinning anything.
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +47,21 @@ def _path_links(path):
     return list(zip(path, path[1:]))
 
 
+class FlowLayout(NamedTuple):
+    """What every max-flow of an instance shares, indexed as the instance is.
+
+    Column j of the path-based max-flow is the flow of demand k on its path
+    p, numbered in (k, p) order.
+    """
+
+    variables: tuple        # the column Variables, named f:k:p
+    demand_columns: tuple   # per demand, its columns
+    link_columns: tuple     # per link, the columns crossing it, increasing
+    shortest_links: tuple   # per demand, its shortest path's links, hop order
+    shortest_index: tuple   # per demand, the shortest path's place in `paths`
+    capacities: np.ndarray  # per link
+
+
 @dataclass(frozen=True)
 class TeInstance:
     nodes: tuple
@@ -56,6 +72,8 @@ class TeInstance:
     def __post_init__(self):
         check_scalar(self.threshold, "pinning threshold", low=0.0)
         by_pair = {(l.src, l.dst) for l in self.links}
+        if len(by_pair) != len(self.links):
+            raise ValueError("a link is listed twice")
         for dem in self.demands:
             if dem.shortest not in dem.paths:
                 raise ValueError(
@@ -73,20 +91,12 @@ class TeInstance:
     def n_demands(self):
         return len(self.demands)
 
-    def capacities(self):
-        return {l.key: l.capacity for l in self.links}
-
     @cached_property
     def flow_layout(self):
-        """The path-based max-flow's columns, laid out once per instance.
-
-        Column j is the flow of demand k on its path p, numbered in (k, p)
-        order. Returns (variables, demand_columns, link_columns): the
-        column Variables named f:k:p, each demand's columns, and each
-        link's crossing columns in increasing order.
-        """
+        """The max-flow's columns and the pinning's paths, laid out once."""
+        index = {(l.src, l.dst): i for i, l in enumerate(self.links)}
         variables, demand_columns = [], []
-        crossing = {(l.src, l.dst): [] for l in self.links}
+        crossing = [[] for _ in self.links]
         for k, dem in enumerate(self.demands):
             cols = []
             for p, path in enumerate(dem.paths):
@@ -94,10 +104,19 @@ class TeInstance:
                 variables.append(solver.Variable(f"f:{k}:{p}"))
                 cols.append(j)
                 for hop in dict.fromkeys(_path_links(path)):
-                    crossing[hop].append(j)
+                    crossing[index[hop]].append(j)
             demand_columns.append(tuple(cols))
-        link_columns = tuple(tuple(crossing[(l.src, l.dst)]) for l in self.links)
-        return tuple(variables), tuple(demand_columns), link_columns
+        return FlowLayout(
+            tuple(variables), tuple(demand_columns), tuple(map(tuple, crossing)),
+            tuple(tuple(index[hop] for hop in _path_links(dem.shortest))
+                  for dem in self.demands),
+            tuple(dem.paths.index(dem.shortest) for dem in self.demands),
+            np.array([l.capacity for l in self.links], dtype=float))
+
+    @cached_property
+    def _max_flow_lps(self):
+        """frozenset of skipped demands -> its max-flow (see `_max_flow`)."""
+        return {}
 
 
 def all_simple_paths(nodes, links, src, dst):
@@ -159,78 +178,107 @@ class TeAllocation:
         return float(sum(self.demands)) - self.total
 
 
-def _max_flow(inst, d, residual, skip):
-    """Path-based max flow over residual capacities, skipping pinned demands.
+class _MaxFlow(NamedTuple):
+    lp: solver.ParametricLP
+    demand_rows: np.ndarray  # the demands whose rows b starts with
+    link_rows: np.ndarray    # then the links whose rows follow
+    columns: np.ndarray      # the layout column of each program column
 
-    Builds the program's rows straight from the instance's flow layout: one
-    row per unpinned demand, then one per link that an unpinned path
-    crosses. Returns per-demand per-path flows (zeros for skipped demands).
+
+def _max_flow_lp(inst, d, residual, skip):
+    """The max-flow LP for one set of skipped demands, from its first b.
+
+    One row per unskipped demand, then one per link that an unskipped path
+    crosses, straight from the instance's flow layout.
     """
-    variables, demand_columns, link_columns = inst.flow_layout
-    col, rows = {}, []  # col: layout column -> program column
-    for k, cols in enumerate(demand_columns):
+    lay = inst.flow_layout
+    col, rows, demand_rows, link_rows = {}, [], [], []  # col: layout -> program
+    for k, cols in enumerate(lay.demand_columns):
         if k not in skip:
             for j in cols:
                 col[j] = len(col)
             rows.append(solver.Constraint(tuple((col[j], 1.0) for j in cols),
                                           solver.LE, float(d[k])))
-    for link, cols in zip(inst.links, link_columns):
+            demand_rows.append(k)
+    for i, cols in enumerate(lay.link_columns):
         coeffs = tuple((col[j], 1.0) for j in cols if j in col)
         if coeffs:
-            rows.append(solver.Constraint(coeffs, solver.LE,
-                                          float(residual[link.key])))
+            rows.append(solver.Constraint(coeffs, solver.LE, float(residual[i])))
+            link_rows.append(i)
     prog = solver.ConstraintProgram(
-        variables=[variables[j] for j in col], constraints=rows,
+        variables=[lay.variables[j] for j in col], constraints=rows,
         objective=dict.fromkeys(range(len(col)), 1.0), sense=solver.MAXIMIZE)
-    sol = solver.solve_lp(prog)
+    demand_rows, link_rows, columns = (np.array(idx, dtype=np.intp)
+                                       for idx in (demand_rows, link_rows, list(col)))
+    return _MaxFlow(solver.ParametricLP(prog), demand_rows, link_rows, columns)
 
-    flows = [[0.0] * len(dem.paths) for dem in inst.demands]
-    for k, cols in enumerate(demand_columns):
-        if k not in skip:
-            for p, j in enumerate(cols):
-                flows[k][p] = max(0.0, float(sol.values[col[j]]))
-    return flows
+
+def _max_flow(inst, d, residual, skip):
+    """Path-based max flow over residual capacities, skipping pinned demands.
+
+    `residual` holds one capacity per link of `inst`. Each set of skipped
+    demands has one `solver.ParametricLP`, kept on the instance, so an
+    evaluation only assembles b and reuses a stored optimal basis when one
+    fits. At a degenerate optimum the flows are the vertex of the first
+    stored basis that passes (see `solver.parametric`), and so can depend
+    on the evaluations before; the total cannot. Returns per-demand
+    per-path flows (zeros for skipped demands).
+    """
+    key = frozenset(skip)
+    mf = inst._max_flow_lps.get(key)
+    if mf is None:
+        mf = inst._max_flow_lps[key] = _max_flow_lp(inst, d, residual, key)
+    b = np.concatenate([d[mf.demand_rows],
+                        np.asarray(residual, dtype=float)[mf.link_rows]])
+    sol = mf.lp.solve(b)
+
+    lay = inst.flow_layout
+    x = np.zeros(len(lay.variables))
+    x[mf.columns] = sol.values
+    x = np.where(x > 0.0, x, 0.0).tolist()
+    return [x[cols[0]:cols[0] + len(cols)] for cols in lay.demand_columns]
+
+
+def _checked_demands(inst, d):
+    d = check_array_1d(d, "demands")
+    if len(d) != inst.n_demands:
+        raise ValueError(f"expected {inst.n_demands} demand values, got {len(d)}")
+    if (d < 0).any():
+        raise ValueError("demands must be nonnegative")
+    return d
+
+
+def _allocation(d, flows):
+    flows = tuple(tuple(row) for row in flows)
+    total = float(sum(sum(row) for row in flows))
+    return TeAllocation(tuple(d.tolist()), flows, total)
 
 
 def run_dp(inst, d):
     """Demand pinning: pin small demands to their shortest paths, then max-flow."""
-    d = check_array_1d(np.asarray(d, dtype=float), "demands")
-    if len(d) != inst.n_demands:
-        raise ValueError(f"expected {inst.n_demands} demand values, got {len(d)}")
-    if np.any(d < 0):
-        raise ValueError("demands must be nonnegative")
-
-    residual = inst.capacities()
+    d = _checked_demands(inst, d)
+    lay = inst.flow_layout
+    residual = lay.capacities.tolist()
     flows = [[0.0] * len(dem.paths) for dem in inst.demands]
-    pinned = set()
-    for k, dem in enumerate(inst.demands):
-        if d[k] > inst.threshold:
+    pinned = []
+    for k, rate in enumerate(d.tolist()):
+        if rate > inst.threshold:
             continue
-        pinned.add(k)
-        hops = _path_links(dem.shortest)
-        room = min(residual[f"{u}->{v}"] for u, v in hops)
-        rate = min(float(d[k]), room)
-        flows[k][dem.paths.index(dem.shortest)] = rate
-        for u, v in hops:
-            residual[f"{u}->{v}"] -= rate
+        pinned.append(k)
+        hops = lay.shortest_links[k]
+        rate = min(rate, min(residual[i] for i in hops))
+        flows[k][lay.shortest_index[k]] = rate
+        for i in hops:
+            residual[i] -= rate
 
     rest = _max_flow(inst, d, residual, pinned)
     for k in range(inst.n_demands):
         if k not in pinned:
             flows[k] = rest[k]
-    flows = tuple(tuple(row) for row in flows)
-    total = float(sum(sum(row) for row in flows))
-    return TeAllocation(tuple(float(v) for v in d), flows, total)
+    return _allocation(d, flows)
 
 
 def optimal_te(inst, d):
     """Benchmark: path-based multicommodity max flow, no pinning."""
-    d = check_array_1d(np.asarray(d, dtype=float), "demands")
-    if len(d) != inst.n_demands:
-        raise ValueError(f"expected {inst.n_demands} demand values, got {len(d)}")
-    if np.any(d < 0):
-        raise ValueError("demands must be nonnegative")
-    flows = _max_flow(inst, d, inst.capacities(), skip=set())
-    flows = tuple(tuple(row) for row in flows)
-    total = float(sum(sum(row) for row in flows))
-    return TeAllocation(tuple(float(v) for v in d), flows, total)
+    d = _checked_demands(inst, d)
+    return _allocation(d, _max_flow(inst, d, inst.flow_layout.capacities, skip=()))

@@ -2,6 +2,7 @@
 
 from .branch_bound import DEFAULT_NODE_LIMIT, solve_mip
 from .lp_format import to_lp_format
+from .parametric import ParametricLP
 from .program import (
     BINARY,
     CONTINUOUS,
@@ -33,6 +34,7 @@ __all__ = [
     "DEFAULT_NODE_LIMIT",
     "EPS_FEAS",
     "NumericalInstability",
+    "ParametricLP",
     "Solution",
     "SolverError",
     "Variable",

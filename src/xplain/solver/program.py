@@ -63,6 +63,7 @@ class Solution:
     objective: float | None = None
     values: np.ndarray | None = None
     names: tuple = ()
+    basis: tuple | None = None  # solve_lp's optimal basis, when it has one
 
     def __getitem__(self, name):
         return float(self.values[self.names.index(name)])

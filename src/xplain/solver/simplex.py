@@ -357,35 +357,47 @@ def solve_lp_arrays(A, senses, b, c, sense=MAXIMIZE, uppers=None):
     return "optimal", float(c @ xv), xv
 
 
+def _feasible(xv, A, eq, b, uppers=None):
+    """Does xv satisfy A x (<=, or == where eq) b and 0 <= x (<= uppers), to EPS_FEAS?"""
+    if A.size:
+        excess = A @ xv - b
+        if eq.any():
+            excess = np.where(eq, np.abs(excess), excess)
+        if excess.max() > EPS_FEAS:
+            return False
+    if xv.size and xv.min() < -EPS_FEAS:
+        return False
+    return uppers is None or not np.any(xv > uppers + EPS_FEAS)
+
+
 def _verify(prog, xv, A, senses, b):
     """Does xv satisfy prog's rows (A, senses, b from prog.dense()) and bounds?"""
-    if A.size:
-        lhs = A @ xv
-        for r, sense in enumerate(senses):
-            if sense == LE and lhs[r] > b[r] + EPS_FEAS:
-                return False
-            if sense == EQ and abs(lhs[r] - b[r]) > EPS_FEAS:
-                return False
-    if np.any(xv < -EPS_FEAS):
-        return False
-    for i, var in enumerate(prog.variables):
-        if var.upper is not None and xv[i] > var.upper + EPS_FEAS:
-            return False
-    return True
+    eq = np.array([s == EQ for s in senses], dtype=bool)
+    uppers = np.array([np.inf if v.upper is None else v.upper for v in prog.variables])
+    return _feasible(xv, A, eq, b, uppers)
 
 
 def solve_lp(prog):
-    """Solve a pure LP ConstraintProgram (no binaries, no groups)."""
+    """Solve a pure LP ConstraintProgram (no binaries, no groups).
+
+    An optimal Solution carries the final basis when the tableau kept one
+    row per program row: column indices into [A | one slack column per
+    "<=" row, in row order].
+    """
     if any(v.kind == BINARY for v in prog.variables):
         raise ValueError("solve_lp: program contains binary variables; use solve_mip")
     if prog.exactly_one_groups:
         raise ValueError("solve_lp: program contains exactly-one groups; use solve_mip")
     A, senses, b, c = prog.dense()
     uppers = [v.upper for v in prog.variables]
-    status, obj, xv = solve_lp_arrays(A, senses, b, c, prog.sense, uppers)
+    status, tab = cold_start(A, senses, b, c, prog.sense, up=uppers)
     if status != "optimal":
         return Solution(status=status)
+    xv = tab.values()
     if not _verify(prog, xv, A, senses, b):
         raise NumericalInstability("solution failed the feasibility recheck")
-    return Solution(status="optimal", objective=obj, values=xv,
-                    names=tuple(v.name for v in prog.variables))
+    # a "<=" row with b < 0 is negated and gets a surplus column in its
+    # slack's place, so the column numbering is the same either way
+    basis = tuple(int(j) for j in tab.basis) if len(tab.basis) == len(b) else None
+    return Solution(status="optimal", objective=float(c @ xv), values=xv,
+                    names=tuple(v.name for v in prog.variables), basis=basis)

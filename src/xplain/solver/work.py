@@ -18,6 +18,9 @@ from dataclasses import dataclass
 class WorkCounts:
     pivots: int = 0  # simplex basis changes, in every LP and B&B node
     nodes: int = 0   # branch-and-bound nodes popped, pruned ones included
+    # ParametricLP.solve calls, by whether a stored basis settled them
+    lp_warm: int = 0
+    lp_cold: int = 0     # cold-solved by solve_lp
     # heuristics.vbp.min_bins calls, by the step that settled each
     vbp_bound: int = 0   # first-fit met max(volume bound, L2)
     vbp_ffd: int = 0     # first-fit decreasing met it

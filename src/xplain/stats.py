@@ -26,6 +26,10 @@ __all__ = [
 ]
 
 WILCOXON_EXACT_LIMIT = 20   # enumerate sign patterns up to this many pairs
+# paired differences within this share of max(1, max |d|) of zero count as
+# zero, and magnitudes within it of each other as ties: gaps come from
+# float LPs, whose rounding noise is no evidence either way
+WILCOXON_TOL = 1e-9
 KENDALL_EXACT_LIMIT = 10    # exact null (tie-group DP) up to this many points
 ALTERNATIVES = ("greater", "less", "two-sided")
 
@@ -43,14 +47,20 @@ def dkw_samples(epsilon, delta):
     return int(math.ceil(math.log(2.0 / delta) / (2.0 * epsilon * epsilon)))
 
 
-def _midranks(magnitudes):
+def _noise(d):
+    """The magnitude at or below which a difference in `d` is rounding noise."""
+    return WILCOXON_TOL * max(1.0, float(np.abs(d).max(initial=0.0)))
+
+
+def _midranks(magnitudes, tol=0.0):
+    """Ranks from 1; each run of magnitudes within tol of its least shares a midrank."""
     mag = np.asarray(magnitudes, dtype=float)
     order = np.argsort(mag, kind="stable")
     ranks = np.empty(len(mag))
     i = 0
     while i < len(mag):
         j = i
-        while j + 1 < len(mag) and mag[order[j + 1]] == mag[order[i]]:
+        while j + 1 < len(mag) and mag[order[j + 1]] - mag[order[i]] <= tol:
             j += 1
         ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
         i = j + 1
@@ -105,20 +115,23 @@ def _normal_wilcoxon_p(ranks, w, alternative):
 def wilcoxon_signed_rank(differences, alternative="greater", method="auto"):
     """Signed-rank test on paired differences.
 
-    Zeros are dropped, tied magnitudes get midranks, and W is the sum of
-    the ranks of the positive differences. Exact enumeration of the 2^n
-    sign patterns up to n = 20, a tie-corrected normal approximation with
-    continuity correction beyond. Returns (W, p, method).
+    Differences within WILCOXON_TOL * max(1, max |d|) of zero are dropped
+    as zeros (Pratt, JASA 1959), magnitudes within that of each other share
+    a midrank, and W is the sum of the ranks of the positive differences.
+    Exact enumeration of the 2^n sign patterns up to n = 20, a tie-corrected
+    normal approximation with continuity correction beyond. Returns
+    (W, p, method).
     """
     if alternative not in ALTERNATIVES:
         raise ValueError(f"unknown alternative {alternative!r}")
     if method not in ("auto", "exact", "normal"):
         raise ValueError(f"unknown method {method!r}")
     d = np.asarray(differences, dtype=float)
-    d = d[d != 0.0]
+    tol = _noise(d)
+    d = d[np.abs(d) > tol]
     if len(d) == 0:
         raise AllZero("all differences are zero")
-    ranks = _midranks(np.abs(d))
+    ranks = _midranks(np.abs(d), tol)
     w = float(ranks[d > 0].sum())
     if method == "auto":
         method = "exact" if len(d) <= WILCOXON_EXACT_LIMIT else "normal"
@@ -169,8 +182,9 @@ def check_significance(subspace, gap_fn, space, n_pairs=None, margin=0.025,
     Draws n_pairs points uniformly inside the region, pairs each with its
     reflection just outside the nearest facet (clipped to the space), and
     runs the one-sided signed-rank test on the inside-minus-outside
-    differences. All-zero differences yield keep=False rather than an
-    error; a region too thin to sample raises SamplingFailure.
+    differences; n counts those the test does not drop as zeros. All-zero
+    differences yield keep=False rather than an error; a region too thin
+    to sample raises SamplingFailure.
     """
     if n_pairs is None:
         n_pairs = dkw_samples(0.1, 0.05)
@@ -188,7 +202,7 @@ def check_significance(subspace, gap_fn, space, n_pairs=None, margin=0.025,
     except AllZero:
         return SignificanceReport(n=0, W=0.0, p=1.0, method="degenerate",
                                   keep=False, alpha=alpha)
-    n_used = int(np.count_nonzero(diffs))
+    n_used = int(np.count_nonzero(np.abs(diffs) > _noise(diffs)))
     return SignificanceReport(n=n_used, W=w, p=p, method=method,
                               keep=p < alpha, alpha=alpha)
 

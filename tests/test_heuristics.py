@@ -145,7 +145,7 @@ def _reference_max_flow_program(inst, d, residual, skip):
         coeffs = {idx: 1.0 for (k, p), idx in var.items()
                   if hop in zip(inst.demands[k].paths[p], inst.demands[k].paths[p][1:])}
         if coeffs:
-            prog.add_constraint(coeffs, LE, residual[link.key])
+            prog.add_constraint(coeffs, LE, residual[inst.links.index(link)])
     prog.set_objective({idx: 1.0 for idx in var.values()}, "max")
     return prog
 
@@ -167,7 +167,7 @@ def test_max_flow_layout_matches_row_by_row_build(fig1a, monkeypatch):
         for _ in range(12):
             d = rng.uniform(0.0, 100.0, size=inst.n_demands)
             skip = {k for k in range(inst.n_demands) if rng.random() < 0.4}
-            residual = {l.key: float(rng.uniform(0.0, l.capacity)) for l in inst.links}
+            residual = [float(rng.uniform(0.0, l.capacity)) for l in inst.links]
             with pytest.raises(RuntimeError, match="captured"):
                 _max_flow(inst, d, residual, skip)
             got = captured.pop()
@@ -179,6 +179,54 @@ def test_max_flow_layout_matches_row_by_row_build(fig1a, monkeypatch):
             assert got.objective == ref.objective and got.sense == ref.sense
             for a, b in zip(got.dense(), ref.dense()):
                 assert np.array_equal(a, b)
+
+
+def _te_demand_vectors(inst, rng, count):
+    """Seeded demands, a third of them degenerate: zeros, the threshold, capacities."""
+    caps = [l.capacity for l in inst.links]
+    hi = 2.0 * max(caps)
+    out = []
+    for t in range(count):
+        d = rng.uniform(0.0, hi, size=inst.n_demands)
+        if t % 3 == 0:
+            special = np.array([0.0, inst.threshold, *caps])
+            pick = rng.random(inst.n_demands) < 0.5
+            d[pick] = rng.choice(special, size=int(pick.sum()))
+        out.append(d)
+    return out
+
+
+def test_te_totals_match_cold_solves_whatever_came_before(fig1a):
+    # each instance's stored bases carry history from one evaluation to the
+    # next; a fresh copy of the instance per call solves every LP cold
+    line = InstanceFamily("te-line", count=4, size_range=(2, 6),
+                          capacity_range=(10.0, 60.0), seed=12)
+    rng = np.random.default_rng(4417)
+    cases = [(fig1a.instance, 120)]
+    cases += [(sc.instance, 25) for sc in generate_instances(line)]
+    checked = 0
+    for inst, count in cases:
+        demands = _te_demand_vectors(inst, rng, count)
+        fresh = lambda: type(inst)(inst.nodes, inst.links, inst.demands, inst.threshold)
+        cold = [(run_dp(fresh(), d).total, optimal_te(fresh(), d).total)
+                for d in demands]
+        for order in (range(count), reversed(range(count))):
+            warm_inst = fresh()
+            with counting() as work:
+                for i in order:
+                    dp = run_dp(warm_inst, demands[i])
+                    opt = optimal_te(warm_inst, demands[i])
+                    assert dp.total == pytest.approx(cold[i][0], abs=1e-9)
+                    assert opt.total == pytest.approx(cold[i][1], abs=1e-9)
+                    assert dp.total <= opt.total + 1e-9
+            assert work.lp_warm + work.lp_cold == 2 * count and work.lp_warm > 0
+        checked += count
+    assert checked >= 200
+
+
+def test_te_instance_rejects_a_link_listed_twice():
+    with pytest.raises(ValueError, match="twice"):
+        make_instance(["a", "b"], [("a", "b", 5.0), ("a", "b", 7.0)], [("a", "b")], 1.0)
 
 
 # --- first-fit --------------------------------------------------------------
@@ -362,11 +410,37 @@ def test_optimal_vbp_returns_first_fit_when_it_is_optimal():
     with counting() as work:
         assert optimal_vbp(inst) == run_ff(inst)
     assert work.nodes == 0
-    # FF uses 3 bins, the volume bound is 2, and no 2-bin packing exists
+    # FF uses 3 bins and the volume bound is 2, but L2 is 3: no MILP either
     inst = VbpInstance((0.6, 0.6, 0.6))
     with counting() as work:
         assert optimal_vbp(inst) == run_ff(inst)
+    assert work.nodes == 0
+    # in 2-D no bound but the volume bound applies, so the MILP proves that
+    # no 2-bin packing exists
+    inst = VbpInstance(((0.6, 0.1), (0.6, 0.1), (0.6, 0.1)))
+    with counting() as work:
+        assert optimal_vbp(inst) == run_ff(inst)
+    assert run_ff(inst).bins_used == 3
     assert work.nodes > 0
+
+
+@pytest.mark.parametrize("seed, i, ff, l2", [
+    (3, 1, 10, 9),    # Gilmore-Gomory reaches first-fit
+    (6, 6, 9, 8),
+    (17, 8, 10, 10),  # L2 does
+])
+def test_optimal_vbp_settles_slow_fig3_ff17_draws_by_bounds(seed, i, ff, l2):
+    # drawn vbp-ff17 points where branch and bound took seconds to prove
+    # that one bin fewer than first-fit is infeasible
+    bounds = np.array(builtin("fig3_ff17").bounds)
+    u = np.random.default_rng([seed, i]).random(len(bounds))
+    sizes = (bounds[:, 0] + u * (bounds[:, 1] - bounds[:, 0])).tolist()
+    inst = VbpInstance(tuple(sizes))
+    assert run_ff(inst).bins_used == ff == bin_packing_oracle(sizes)
+    assert l2_bound(sizes, 1.0) == l2
+    with counting() as work:
+        assert optimal_vbp(inst) == run_ff(inst)
+    assert work.nodes == 0
 
 
 def test_optimal_vbp_names_an_unexpected_solver_status(monkeypatch):

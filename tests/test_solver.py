@@ -10,11 +10,13 @@ from xplain.solver import (
     MINIMIZE,
     BudgetExceeded,
     ConstraintProgram,
+    ParametricLP,
     solve_lp,
     counting,
     solve_mip,
     to_lp_format,
 )
+from xplain.solver.parametric import MAX_BASES
 from xplain.solver.simplex import solve_lp_arrays
 
 
@@ -316,3 +318,118 @@ def test_work_counters_count_inside_their_block_only():
     with counting() as again:
         solve_mip(_knapsack())
     assert again == inner  # deterministic
+
+
+# --- ParametricLP -----------------------------------------------------------
+
+def _le_lp(A, b, c):
+    return make_lp(A, [LE] * len(b), b, c)
+
+
+def _assert_matches_cold(A, b, c, sol):
+    """sol is optimal for {max c.x : A x <= b, x >= 0}, as a cold solve_lp says."""
+    cold = solve_lp(_le_lp(A, b, c))
+    assert sol.status == cold.status == "optimal"
+    assert sol.objective == pytest.approx(cold.objective, abs=1e-9)
+    assert np.all(A @ sol.values <= b + 1e-6) and np.all(sol.values >= -1e-6)
+    assert sol.objective == pytest.approx(float(c @ sol.values), abs=1e-9)
+
+
+def test_parametric_lp_matches_cold_solves():
+    # seeded <= LPs with b >= 0, half of the b degenerate (zeros, or
+    # b = A x0 at a sparse x0, so that several rows are tight at once); the
+    # sequences bring more distinct optimal bases than ParametricLP keeps
+    rng = np.random.default_rng(1207)
+    warm = cold = evicting = 0
+    for _ in range(12):
+        m, n = int(rng.integers(3, 7)), int(rng.integers(3, 8))
+        A = rng.integers(0, 4, size=(m, n)).astype(float)
+        A[rng.integers(0, m, size=n), np.arange(n)] += 1.0  # bounded
+        c = rng.integers(1, 5, size=n).astype(float)
+        seen = set()
+        b = rng.uniform(0.0, 10.0, size=m)
+        lp = ParametricLP(_le_lp(A, b, c))
+        with counting() as work:
+            for t in range(80):
+                if t % 4 == 0:
+                    b = rng.uniform(0.0, 10.0, size=m) * (rng.random(m) < 0.6)
+                elif t % 4 == 1:
+                    b = A @ (rng.integers(0, 3, size=n) * (rng.random(n) < 0.4))
+                else:
+                    b = rng.uniform(0.0, 10.0, size=m)
+                sol = lp.solve(b)
+                _assert_matches_cold(A, b, c, sol)
+                seen.add(sol.basis)
+        assert work.lp_warm + work.lp_cold == 80
+        warm, cold = warm + work.lp_warm, cold + work.lp_cold
+        evicting += len(seen) > MAX_BASES  # more bases than it keeps
+    assert warm > cold and evicting >= 4
+
+
+def test_parametric_lp_tries_most_recent_basis_first():
+    # max x1 + x2, x1 + x2 <= t, x1 <= u, x2 <= v: at b = 0 every basis is
+    # feasible, and the one used last decides which is returned
+    A = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+    c = np.ones(2)
+    b_a, b_b, b_c = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), np.zeros(3)
+    lp = ParametricLP(_le_lp(A, b_a, c))
+    with counting() as work:
+        basis_a = lp.solve(b_a).basis
+        basis_b = lp.solve(b_b).basis
+        assert basis_a != basis_b
+        assert lp.solve(b_c).basis == basis_b
+        assert lp.solve(b_a).basis == basis_a  # a hit: a moves to the front
+        assert lp.solve(b_c).basis == basis_a
+    assert (work.lp_cold, work.lp_warm) == (2, 3)
+
+
+def test_parametric_lp_rejects_a_basis_just_outside_its_region():
+    # max x1 + 2 x2, x1 + x2 <= t, x2 <= u: the basis {x1, x2} of t > u
+    # gives x1 = t - u, which at t = u - 5e-7 is negative by less than the
+    # feasibility recheck allows, and its objective t + u is 5e-7 too high
+    A = np.array([[1.0, 1.0], [0.0, 1.0]])
+    c = np.array([1.0, 2.0])
+    lp = ParametricLP(_le_lp(A, [2.0, 1.0], c))
+    lp.solve([2.0, 1.0])
+    b = np.array([1.0 - 5e-7, 1.0])
+    with counting() as work:
+        sol = lp.solve(b)
+    _assert_matches_cold(A, b, c, sol)
+    assert (work.lp_warm, work.lp_cold) == (0, 1)
+
+
+def test_parametric_lp_rechecks_a_stored_basis():
+    # a corrupted stored inverse passes B^-1 b >= 0 but not A x <= b: the
+    # solve falls back to a cold start instead of returning that x
+    A = np.array([[1.0, 2.0], [3.0, 1.0]])
+    c = np.array([1.0, 1.0])
+    b = np.array([4.0, 6.0])
+    lp = ParametricLP(_le_lp(A, b, c))
+    lp.solve(b)
+    lp._inv[0] *= 1.01
+    with counting() as work:
+        _assert_matches_cold(A, b, c, lp.solve(b))
+    assert (work.lp_warm, work.lp_cold) == (0, 1)
+
+
+def test_parametric_lp_cold_solves_through_the_package_solve_lp(monkeypatch):
+    import xplain.solver
+
+    seen = []
+    monkeypatch.setattr(xplain.solver, "solve_lp",
+                        lambda prog: seen.append(prog) or solve_lp(prog))
+    A = np.array([[1.0, 2.0], [3.0, 1.0]])
+    lp = ParametricLP(_le_lp(A, [4.0, 6.0], [1.0, 1.0]))
+    lp.solve([8.0, 12.0])
+    assert [con.rhs for con in seen[0].constraints] == [8.0, 12.0]
+    lp.solve([4.0, 6.0])  # the same basis: no second cold solve
+    assert len(seen) == 1
+
+
+def test_parametric_lp_rejects_what_it_cannot_reuse():
+    with pytest.raises(ValueError, match="upper bounds"):
+        ParametricLP(make_lp([[1.0]], [LE], [1.0], [1.0], uppers=[2.0]))
+    with pytest.raises(ValueError, match="binaries"):
+        ParametricLP(make_lp([[1.0]], [LE], [1.0], [1.0], kinds=[BINARY]))
+    with pytest.raises(ValueError, match="right-hand sides"):
+        ParametricLP(make_lp([[1.0]], [LE], [1.0], [1.0])).solve([1.0, 2.0])

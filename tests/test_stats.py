@@ -126,6 +126,60 @@ def test_wilcoxon_positive_and_negative_ranks_partition():
         assert w_pos + w_neg == pytest.approx(n * (n + 1) / 2.0)
 
 
+def test_wilcoxon_reads_rounding_noise_as_zero_and_as_ties():
+    d = np.array([0.5, -0.25, 1.0, 0.75, 0.125])
+    noisy = d + np.array([1e-13, -2e-13, 0.0, 3e-13, -1e-13])
+    base = wilcoxon_signed_rank(d)
+    # differences of float LPs that should be zero, and ties off by noise
+    assert wilcoxon_signed_rank(np.concatenate([d, [4e-10, -3e-10]])) == base
+    assert wilcoxon_signed_rank(np.concatenate([noisy, [1e-14]])) == base
+    tied = wilcoxon_signed_rank([0.5, -0.5 - 1e-12, 0.25])
+    assert tied == wilcoxon_signed_rank([0.5, -0.5, 0.25])
+    assert tied[0] == 3.5  # 0.25 ranks 1, the pair shares (2 + 3) / 2
+    with pytest.raises(AllZero):
+        wilcoxon_signed_rank([1e-12, -5e-10, 0.0])
+    # the tolerance scales with the largest difference above 1
+    assert wilcoxon_signed_rank([1e3, 2e3, 1e-7]) == wilcoxon_signed_rank([1e3, 2e3])
+
+
+# the first subspace `subspaces` keeps on fig1a_dp at seed 7 (n_shell 40,
+# budget 400): a box on the eight demands cut by two tree predicates
+FIG1A_SEED7_SUBSPACE = SimpleNamespace(
+    A=np.vstack([np.eye(8), -np.eye(8)]),
+    C=np.array([100.0, 51.64991860505652, 2.0, 2.324668871143441, 100.0,
+                51.827153476917516, 100.0, 100.0, -98.0, -12.64991860505652, -0.0,
+                -0.0, -98.0, -17.827153476917516, -45.55330370262082,
+                -33.87924966576479]),
+    T=np.array([np.eye(8)[5], -np.eye(8)[5], np.eye(8)[1], -np.eye(8)[1]]),
+    V=np.array([49.97195479564733, -33.805518283245924, 50.02409396348982,
+                -33.613550605291536]))
+
+
+def test_fig1a_significance_ignores_float_noise_in_the_gaps():
+    from xplain.heuristics import builtin
+    from xplain.heuristics.gap import dp_gap_fn
+    from xplain.rng import fold
+
+    sc = builtin("fig1a_dp")
+    inst, space = sc.instance, sc.space()
+    warm = dp_gap_fn(type(inst)(inst.nodes, inst.links, inst.demands, inst.threshold),
+                     "relative")
+    rng = np.random.default_rng(13)
+
+    def noisy(x):
+        return warm(x) + rng.uniform(-1e-13, 1e-13)
+
+    def cold(x):  # a fresh instance per call keeps no basis
+        fresh = type(inst)(inst.nodes, inst.links, inst.demands, inst.threshold)
+        return dp_gap_fn(fresh, "relative")(x)
+
+    seed = fold(7, "significance", 0)
+    reports = [check_significance(FIG1A_SEED7_SUBSPACE, fn, space, seed=seed)
+               for fn in (warm, noisy, cold)]
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0].keep and reports[0].n < 185
+
+
 def test_sample_region_stays_inside():
     space = InputSpace(((0.0, 1.0), (0.0, 1.0)))
     region = box_region([0.2, 0.3], [0.6, 0.9],
