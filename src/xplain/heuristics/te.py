@@ -6,6 +6,7 @@ path-based max-flow over what remains. The benchmark solves the same
 path-based max-flow without pinning anything.
 """
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -14,6 +15,10 @@ import numpy as np
 
 from .. import solver
 from .._validation import check_array_1d, check_scalar
+
+# max-flow LPs an instance keeps, one per set of skipped demands; fig1a_dp
+# uses 140 sets in a seed-7 `analyze`, an instance with n demands up to 2^n
+MAX_PINNED_SETS = 64
 
 
 @dataclass(frozen=True)
@@ -115,8 +120,8 @@ class TeInstance:
 
     @cached_property
     def _max_flow_lps(self):
-        """frozenset of skipped demands -> its max-flow (see `_max_flow`)."""
-        return {}
+        """frozenset of skipped demands -> its max-flow, most recently used last."""
+        return OrderedDict()
 
 
 def all_simple_paths(nodes, links, src, dst):
@@ -217,17 +222,20 @@ def _max_flow(inst, d, residual, skip):
     """Path-based max flow over residual capacities, skipping pinned demands.
 
     `residual` holds one capacity per link of `inst`. Each set of skipped
-    demands has one `solver.ParametricLP`, kept on the instance, so an
-    evaluation only assembles b and reuses a stored optimal basis when one
-    fits. At a degenerate optimum the flows are the vertex of the first
+    demands has one `solver.ParametricLP`; the instance keeps those of the
+    MAX_PINNED_SETS sets used last, so an evaluation only assembles b and
+    reuses a stored optimal basis when one fits. At a degenerate optimum the flows are the vertex of the first
     stored basis that passes (see `solver.parametric`), and so can depend
     on the evaluations before; the total cannot. Returns per-demand
     per-path flows (zeros for skipped demands).
     """
-    key = frozenset(skip)
-    mf = inst._max_flow_lps.get(key)
+    lps, key = inst._max_flow_lps, frozenset(skip)
+    mf = lps.pop(key, None)
     if mf is None:
-        mf = inst._max_flow_lps[key] = _max_flow_lp(inst, d, residual, key)
+        mf = _max_flow_lp(inst, d, residual, key)
+        if len(lps) >= MAX_PINNED_SETS:
+            lps.popitem(last=False)
+    lps[key] = mf
     b = np.concatenate([d[mf.demand_rows],
                         np.asarray(residual, dtype=float)[mf.link_rows]])
     sol = mf.lp.solve(b)

@@ -183,12 +183,11 @@ def optimal_vbp(inst, node_limit=None):
     """Exact minimum number of bins, by MILP; `min_bins`'s fallback.
 
     First-fit's packing is an upper bound, and it is returned when it meets
-    the lower bound: the volume bound for identical bins, else one bin; for
-    1-D balls in an unbounded pool, the best of the volume bound, L2 and the
-    Gilmore-Gomory bound over first-fit's bins. Otherwise the assignment
-    MILP runs over the fixed pool or, for identical bins, over one bin fewer
-    than first-fit used; when that MILP is infeasible first-fit was optimal.
-    Raises SolverError when the MILP ends in any other status.
+    the lower bound (the volume bound for identical bins, else one bin).
+    Otherwise the assignment MILP runs over the fixed pool or, for identical
+    bins, over one bin fewer than first-fit used; when that MILP is
+    infeasible first-fit was optimal. Raises SolverError when the MILP ends
+    in any other status.
     """
     from ..solver import BINARY, EQ, LE, ConstraintProgram, SolverError, solve_mip
 
@@ -200,16 +199,6 @@ def optimal_vbp(inst, node_limit=None):
     bound = _volume_bound(inst, inst.bin_list(1)) if symmetric else 1
     if ff_bins <= bound:
         return ff_alloc
-    if inst.unbounded and inst.dim == 1:
-        # without these, points where first-fit is optimal spend seconds in
-        # branch and bound proving that one bin fewer is infeasible
-        sizes, cap = [s[0] for s in inst.sizes], inst.bin_capacity[0]
-        if ff_bins <= l2_bound(sizes, cap):
-            return ff_alloc
-        patterns = [[i for i, j in enumerate(ff_alloc.assignment) if j == b]
-                    for b in set(ff_alloc.assignment)]
-        if ff_bins <= gilmore_gomory_bound(sizes, cap, patterns, ff_bins):
-            return ff_alloc
     n_bins = ff_bins - 1 if symmetric else len(inst.bins)
     bins = inst.bin_list(ff_bins)[:n_bins]
 

@@ -40,15 +40,16 @@ class ParametricLP:
             raise ValueError("ParametricLP: program has binaries or groups")
         if any(v.upper is not None for v in prog.variables):
             raise ValueError("ParametricLP: program has variable upper bounds")
-        A, senses, _, c = prog.dense()
+        A, senses, b, c = prog.dense()
         m, n = A.shape
-        self.program = prog
-        self._A, self._c = A, c
+        self.program, self._b = prog, b  # b: the right-hand side prog holds
+        self._c = c
         self._eq = np.array([s == EQ for s in senses], dtype=bool)
         le = np.flatnonzero(~self._eq)
         slacks = np.zeros((m, len(le)))
         slacks[le, np.arange(len(le))] = 1.0
         self._columns = np.hstack([A, slacks])  # the column space of Solution.basis
+        self._A = self._columns[:, :n]
         self._names = tuple(v.name for v in prog.variables)
         # slot k holds one basis: its B^-1 in _inv[k] and, in _slots[k], the
         # basis, the rows of B^-1 b that hold structurals and their columns
@@ -82,11 +83,13 @@ class ParametricLP:
         if work is not None:
             work.lp_cold += 1
         prog = self.program
-        sol = solve_lp(ConstraintProgram(
-            variables=list(prog.variables),
-            constraints=[Constraint(con.coeffs, con.sense, float(rhs))
-                         for con, rhs in zip(prog.constraints, b)],
-            objective=dict(prog.objective), sense=prog.sense))
+        if not np.array_equal(b, self._b):
+            prog = ConstraintProgram(
+                variables=list(prog.variables),
+                constraints=[Constraint(con.coeffs, con.sense, float(rhs))
+                             for con, rhs in zip(prog.constraints, b)],
+                objective=dict(prog.objective), sense=prog.sense)
+        sol = solve_lp(prog)
         if sol.status != "optimal" or sol.basis is None:
             return sol
         slot = self._store(sol.basis)

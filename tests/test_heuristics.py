@@ -224,6 +224,21 @@ def test_te_totals_match_cold_solves_whatever_came_before(fig1a):
     assert checked >= 200
 
 
+def test_te_instance_keeps_the_max_flows_of_the_last_pinned_sets(fig1a, monkeypatch):
+    import xplain.heuristics.te as te
+
+    monkeypatch.setattr(te, "MAX_PINNED_SETS", 3)
+    inst = fig1a.instance
+    fresh = lambda: type(inst)(inst.nodes, inst.links, inst.demands, inst.threshold)
+    warm_inst, used = fresh(), []
+    for d in _te_demand_vectors(inst, np.random.default_rng(9), 60):
+        key = frozenset(k for k, rate in enumerate(d) if rate <= inst.threshold)
+        assert run_dp(warm_inst, d).total == pytest.approx(run_dp(fresh(), d).total, abs=1e-9)
+        used = [k for k in used if k != key] + [key]
+        assert list(warm_inst._max_flow_lps) == used[-3:]
+    assert len(used) > 3
+
+
 def test_te_instance_rejects_a_link_listed_twice():
     with pytest.raises(ValueError, match="twice"):
         make_instance(["a", "b"], [("a", "b", 5.0), ("a", "b", 7.0)], [("a", "b")], 1.0)
@@ -410,37 +425,11 @@ def test_optimal_vbp_returns_first_fit_when_it_is_optimal():
     with counting() as work:
         assert optimal_vbp(inst) == run_ff(inst)
     assert work.nodes == 0
-    # FF uses 3 bins and the volume bound is 2, but L2 is 3: no MILP either
+    # FF uses 3 bins, the volume bound is 2, and no 2-bin packing exists
     inst = VbpInstance((0.6, 0.6, 0.6))
     with counting() as work:
         assert optimal_vbp(inst) == run_ff(inst)
-    assert work.nodes == 0
-    # in 2-D no bound but the volume bound applies, so the MILP proves that
-    # no 2-bin packing exists
-    inst = VbpInstance(((0.6, 0.1), (0.6, 0.1), (0.6, 0.1)))
-    with counting() as work:
-        assert optimal_vbp(inst) == run_ff(inst)
-    assert run_ff(inst).bins_used == 3
     assert work.nodes > 0
-
-
-@pytest.mark.parametrize("seed, i, ff, l2", [
-    (3, 1, 10, 9),    # Gilmore-Gomory reaches first-fit
-    (6, 6, 9, 8),
-    (17, 8, 10, 10),  # L2 does
-])
-def test_optimal_vbp_settles_slow_fig3_ff17_draws_by_bounds(seed, i, ff, l2):
-    # drawn vbp-ff17 points where branch and bound took seconds to prove
-    # that one bin fewer than first-fit is infeasible
-    bounds = np.array(builtin("fig3_ff17").bounds)
-    u = np.random.default_rng([seed, i]).random(len(bounds))
-    sizes = (bounds[:, 0] + u * (bounds[:, 1] - bounds[:, 0])).tolist()
-    inst = VbpInstance(tuple(sizes))
-    assert run_ff(inst).bins_used == ff == bin_packing_oracle(sizes)
-    assert l2_bound(sizes, 1.0) == l2
-    with counting() as work:
-        assert optimal_vbp(inst) == run_ff(inst)
-    assert work.nodes == 0
 
 
 def test_optimal_vbp_names_an_unexpected_solver_status(monkeypatch):
