@@ -224,10 +224,11 @@ def _max_flow(inst, d, residual, skip):
     `residual` holds one capacity per link of `inst`. Each set of skipped
     demands has one `solver.ParametricLP`; the instance keeps those of the
     MAX_PINNED_SETS sets used last, so an evaluation only assembles b and
-    reuses a stored optimal basis when one fits. At a degenerate optimum the flows are the vertex of the first
-    stored basis that passes (see `solver.parametric`), and so can depend
-    on the evaluations before; the total cannot. Returns per-demand
-    per-path flows (zeros for skipped demands).
+    reuses a stored optimal basis when one fits. At a degenerate optimum
+    the flows are the vertex of the first stored basis that passes (see
+    `solver.parametric`), and so can depend on the evaluations before; the
+    total cannot. Returns per-demand per-path flows (zeros for skipped
+    demands).
     """
     lps, key = inst._max_flow_lps, frozenset(skip)
     mf = lps.pop(key, None)

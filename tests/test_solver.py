@@ -424,6 +424,9 @@ def test_parametric_lp_cold_solves_through_the_package_solve_lp(monkeypatch):
     assert [con.rhs for con in seen[0].constraints] == [8.0, 12.0]
     lp.solve([4.0, 6.0])  # the same basis: no second cold solve
     assert len(seen) == 1
+    prog = _le_lp(A, [4.0, 6.0], [1.0, 1.0])
+    ParametricLP(prog).solve([4.0, 6.0])  # at its own b, the program itself
+    assert seen[1] is prog
 
 
 def test_parametric_lp_rejects_what_it_cannot_reuse():
