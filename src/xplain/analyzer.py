@@ -6,7 +6,9 @@ ones get uniform exploration followed by coordinate pattern search from the
 best starts, with the poll step halving from 25% of each range down to 0.1%.
 Either way the search never returns a point inside an exclusion region, and
 for a fixed seed it evaluates exactly the same points in the same order on
-every run.
+every run. It hands the gap function a whole stack of points at a time
+(see `evaluate_gaps`): the grid, the accepted exploration draws, and each
+pattern-search poll round.
 """
 
 from dataclasses import dataclass
@@ -28,6 +30,7 @@ __all__ = [
     "ExclusionSet",
     "InputSpace",
     "NotFound",
+    "evaluate_gaps",
     "find_adversarial",
     "membership",
 ]
@@ -159,6 +162,21 @@ class ExclusionSet:
         return hit
 
 
+def evaluate_gaps(gap_fn, X):
+    """gap_fn at each point of X, in order, as a float array.
+
+    A gap function with a true `batched` attribute (those of
+    `Scenario.gap_fn`) gets all of X as one N x n stack; any other is
+    called on one point at a time. An empty X calls nothing.
+    """
+    X = np.asarray(X, dtype=float)
+    if not len(X):
+        return np.zeros(0)
+    if getattr(gap_fn, "batched", False):
+        return np.asarray(gap_fn(X), dtype=float).reshape(len(X))
+    return np.array([float(gap_fn(x)) for x in X])
+
+
 def _grid_side(n, budget):
     side = 1
     while (side + 1) ** n <= budget:
@@ -194,30 +212,34 @@ def _poll_directions(n):
 
 
 def _pattern_search(space, gap_fn, excl, start_x, start_gap, best, budget_left):
-    """Greedy coordinate polling with halving steps. Returns evals used."""
+    """Greedy coordinate polling with halving steps. Returns evals used.
+
+    A poll round's candidates do not depend on its own gaps, so each round
+    is one stack, cut where the budget runs out.
+    """
     x = np.array(start_x)
     gx = start_gap
     step = STEP_START * space.ranges
     frac = STEP_START
     used = 0
     while frac >= STEP_STOP and used < budget_left:
-        move = None
-        move_gap = gx
+        cands = []
         for d, sign in _poll_directions(space.n):
-            if used >= budget_left:
+            if used + len(cands) >= budget_left:
                 break
             cand = x.copy()
             cand[d] += sign * step[d]
             cand = space.clip(cand)
-            if np.array_equal(cand, x):
+            if np.array_equal(cand, x) or excl.rejects(cand):
                 continue
-            if excl.rejects(cand):
-                continue
-            g = gap_fn(cand)
-            used += 1
+            cands.append(cand)
+        move = None
+        move_gap = gx
+        for cand, g in zip(cands, evaluate_gaps(gap_fn, cands).tolist()):
             best.offer(cand, g)
             if g > move_gap:
                 move, move_gap = cand, g
+        used += len(cands)
         if move is not None:
             x, gx = move, move_gap
         else:
@@ -231,43 +253,42 @@ def find_adversarial(space, gap_fn, exclusions=None, budget=2000,
     """Best effort search for a point with gap ≥ min_gap outside all exclusions.
 
     Returns an AdversarialPoint on success, else NotFound once the
-    evaluation budget is spent. The budget counts gap_fn calls; candidates
-    rejected by the exclusion set consume none but are capped separately so
-    a fully excluded space still terminates.
+    evaluation budget is spent. The budget counts evaluated points;
+    candidates rejected by the exclusion set consume none but are capped
+    separately so a fully excluded space still terminates.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
     excl = exclusions if exclusions is not None else ExclusionSet()
     best = _Best()
-    evals = 0
 
     side = _grid_side(space.n, budget)
     if space.n <= 3 and side >= GRID_MIN_SIDE:
         axes = [np.linspace(lo, hi, side) for lo, hi in space.bounds]
-        for idx in np.ndindex(*([side] * space.n)):
-            x = np.array([axes[d][i] for d, i in enumerate(idx)])
-            if excl.rejects(x):
-                continue
-            g = gap_fn(x)
-            evals += 1
+        grid = (np.array([axes[d][i] for d, i in enumerate(idx)])
+                for idx in np.ndindex(*([side] * space.n)))
+        points = [x for x in grid if not excl.rejects(x)]
+        for x, g in zip(points, evaluate_gaps(gap_fn, points).tolist()):
             best.offer(x, g)
+        evals = len(points)
         strategy = "grid"
     else:
         rng = substream(seed, "analyzer", "uniform")
         lows, ranges = space.lows, space.ranges
         explore = max(1, int(budget * UNIFORM_SHARE))
         draws = 0
-        starts = []  # (gap, order, x) of accepted exploration points
-        while evals < explore and draws < 10 * budget:
+        points = []  # accepted exploration draws; rejections do not count
+        while len(points) < explore and draws < 10 * budget:
             x = lows + rng.random(space.n) * ranges
             draws += 1
-            if excl.rejects(x):
-                continue
-            g = gap_fn(x)
-            evals += 1
+            if not excl.rejects(x):
+                points.append(x)
+        gaps = evaluate_gaps(gap_fn, points).tolist()
+        for x, g in zip(points, gaps):
             best.offer(x, g)
-            starts.append((g, len(starts), x))
-        starts.sort(key=lambda t: (-t[0], t[1]))
+        evals = len(points)
+        # (gap, order, x) of the exploration points, best first
+        starts = sorted(zip(gaps, range(evals), points), key=lambda t: (-t[0], t[1]))
         for g, _, x in starts[:TOP_STARTS]:
             if evals >= budget:
                 break

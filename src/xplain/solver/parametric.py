@@ -2,22 +2,34 @@
 
     lp = ParametricLP(prog)   # prog's b is only the first right-hand side
     lp.solve(b1), lp.solve(b2), ...
+    lp.solve_many([b1, b2, ...])   # the same Solutions, one pass
 
 A basis B that is optimal for one b stays optimal for every b with
 B^-1 b >= 0: its reduced costs do not depend on b, so it stays dual
 feasible, and B^-1 b >= 0 makes it primal feasible too (the critical region
-of parametric LP; Gal and Nedoma, 1972). `solve` keeps the last MAX_BASES
+of parametric LP; Gal and Nedoma, 1972). The LP keeps the last MAX_BASES
 optimal bases, each with a B^-1 computed from the program's own columns,
 so no tableau is carried from call to call and rounding error cannot pile
-up. It tries them most recently used first and takes the first whose
-B^-1 b >= -tol and whose x passes the feasibility recheck of `solve_lp`.
-A hit is the exact optimum, up to the simplex's own tolerances. On a miss
-`solve` cold-solves through `xplain.solver.solve_lp`, looked up at each
-call, stores the basis that returns, and answers from it as a hit would,
-so that a b gets the same x whether it missed or hit. When an LP has
-several optimal vertices, the x returned is the vertex of the first stored
-basis that passes, so it can depend on the right-hand sides that came
-before; the objective cannot.
+up. A right-hand side tries them most recently used first and takes the
+first whose B^-1 b >= -tol and whose x passes the feasibility recheck of
+`solve_lp`. A hit is the exact optimum, up to the simplex's own
+tolerances. On a miss it is cold-solved through `xplain.solver.solve_lp`,
+looked up at each call; the basis that returns is stored and answers as a
+hit would, so that a b gets the same x whether it missed or hit. When an
+LP has several optimal vertices, the x returned is the vertex of the first
+stored basis that passes, so it can depend on the right-hand sides that
+came before; the objective cannot.
+
+`solve_many(B)` takes the right-hand sides as the rows of B and returns,
+row by row, what `solve` on each row in turn would return, leaving the
+same stored bases in the same order and the same `lp_warm`/`lp_cold`
+counts; `solve(b)` is its one-row case. It screens all rows against
+every stored basis at once (B^-1 b >= -tol), rechecks all rows left
+against a basis once the walk first tries it, and walks the rows in order
+to pick each one's first passing basis in most-recently-used order; after
+a miss it re-screens only a new or replaced basis, on the rows left.
+B^-1 b is a stack of matrix-vector products, inv @ B[:, :, None]: one
+matrix-matrix product B @ inv.T rounds differently from inv @ b.
 """
 
 import numpy as np
@@ -29,10 +41,38 @@ from .work import open_counts
 MAX_BASES = 8
 
 
+class Solutions:
+    """The answers of one `ParametricLP.solve_many`: entry i is row i's Solution.
+
+    `values` stacks the rows' x, NaN on a row that has none; `status`
+    holds each row's status.
+    """
+
+    def __init__(self, lp, values, answers):
+        self._lp, self.values, self._answers = lp, values, answers
+
+    @property
+    def status(self):
+        return tuple(a.status if isinstance(a, Solution) else "optimal"
+                     for a in self._answers)
+
+    def __len__(self):
+        return len(self._answers)
+
+    def __getitem__(self, i):
+        got = self._answers[i]  # the cold Solution, or the answering basis
+        if isinstance(got, Solution):
+            return got
+        x = self.values[i]
+        return Solution(status="optimal", objective=float(self._lp._c @ x), values=x,
+                        names=self._lp._names, basis=got)
+
+
 class ParametricLP:
     """{opt c.x : A x (<=, ==) b, x >= 0} for fixed A, senses and c, solved per b.
 
-    `solve` updates the stored bases, so one instance serves one thread.
+    `solve` and `solve_many` update the stored bases, so one instance
+    serves one thread.
     """
 
     def __init__(self, prog):
@@ -63,25 +103,84 @@ class ParametricLP:
         if b.shape != (len(self._eq),):
             raise ValueError(
                 f"expected {len(self._eq)} right-hand sides, got {b.shape}")
-        work = open_counts()
-        if self._order:
-            tol = _PRIMAL_TOL * max(1.0, float(np.abs(b).max(initial=0.0)))
-            # B^-1 b >= -tol for every stored basis at once, then the recheck
-            # in order of use
-            screen = (self._inv @ b).min(axis=1, initial=np.inf)
-            primal = (screen >= -tol).tolist()
-            for slot in [k for k in self._order if primal[k]]:
-                sol = self._solution(slot, b)
-                if sol is not None:
-                    self._use(slot)
-                    if work is not None:
-                        work.lp_warm += 1
-                    return sol
+        return self.solve_many(b[None])[0]
 
+    def solve_many(self, B):
+        """Solutions for the rows of B, as `solve` on each row in turn gives them."""
+        B = np.asarray(B, dtype=float)
+        if B.ndim != 2 or B.shape[1] != len(self._eq):
+            raise ValueError(
+                f"expected rows of {len(self._eq)} right-hand sides, got {B.shape}")
+        n_rows = len(B)
+        values = np.full((n_rows, len(self._c)), np.nan)
+        answers = [None] * n_rows  # per row: the answering basis, or the cold Solution
+        tol = _PRIMAL_TOL * np.maximum(1.0, np.abs(B).max(axis=1, initial=0.0))
+        # per slot, over this batch: its basis, B^-1 b at each row, whether
+        # that is >= -tol, then, once the slot is first tried at a row, x and
+        # whether it passes the recheck there and on the rows left, and the
+        # rows the slot answered
+        entries = list(self._slots)
+        v = (self._inv[:, None] @ B[None, :, :, None])[..., 0]
+        primal = (v.min(axis=2, initial=np.inf) >= -tol).tolist()
+        v, xs, fits = list(v), [None] * len(v), [None] * len(v)
+        served = [[] for _ in v]
+
+        def passes(slot, i):
+            if fits[slot] is None:
+                _, rows, cols = entries[slot]
+                x = xs[slot] = np.zeros((n_rows, len(self._c)))
+                x[i:, cols] = v[slot][i:, rows]
+                fits[slot] = [False] * i + _feasible(x[i:], self._A, self._eq, B[i:]).tolist()
+            return fits[slot][i]
+
+        def rescreen(slot, i):  # slot holds a new basis from row i on
+            if slot == len(v):
+                entries.append(None), v.append(np.zeros_like(B)), xs.append(None)
+                primal.append(None), fits.append(None), served.append([])
+            elif served[slot]:  # the x of the rows the old basis answered
+                values[served[slot]] = xs[slot][served[slot]]
+            entries[slot] = self._slots[slot]
+            v[slot][i:] = (self._inv[slot] @ B[i:, :, None])[:, :, 0]
+            primal[slot] = [False] * i + (
+                v[slot][i:].min(axis=1, initial=np.inf) >= -tol[i:]).tolist()
+            xs[slot], fits[slot], served[slot] = None, None, []
+
+        work, warm, cold = open_counts(), 0, 0
+        try:
+            for i in range(n_rows):
+                for slot in self._order:
+                    if primal[slot][i] and passes(slot, i):
+                        self._use(slot)
+                        warm += 1
+                        break
+                else:
+                    cold += 1
+                    sol = answers[i] = self._cold_solve(B[i])
+                    if sol.values is not None:
+                        values[i] = sol.values
+                    if sol.status != "optimal" or sol.basis is None:
+                        continue
+                    slot, fresh = self._store(sol.basis)
+                    if slot is None:
+                        continue
+                    if fresh:
+                        rescreen(slot, i)
+                    if not passes(slot, i):
+                        continue
+                served[slot].append(i)
+                answers[i] = entries[slot][0]
+        finally:
+            if work is not None:
+                work.lp_warm += warm
+                work.lp_cold += cold
+        for slot, rows in enumerate(served):
+            if rows:
+                values[rows] = xs[slot][rows]
+        return Solutions(self, values, answers)
+
+    def _cold_solve(self, b):
         from . import solve_lp  # at call time, so that a patched solve_lp is used
 
-        if work is not None:
-            work.lp_cold += 1
         prog = self.program
         if not np.array_equal(b, self._b):
             prog = ConstraintProgram(
@@ -89,34 +188,22 @@ class ParametricLP:
                 constraints=[Constraint(con.coeffs, con.sense, float(rhs))
                              for con, rhs in zip(prog.constraints, b)],
                 objective=dict(prog.objective), sense=prog.sense)
-        sol = solve_lp(prog)
-        if sol.status != "optimal" or sol.basis is None:
-            return sol
-        slot = self._store(sol.basis)
-        warm = None if slot is None else self._solution(slot, b)
-        return sol if warm is None else warm
-
-    def _solution(self, slot, b):
-        """The Solution of the basis in `slot` at b, or None if it fails the recheck."""
-        basis, rows, cols = self._slots[slot]
-        x = np.zeros(len(self._c))
-        x[cols] = (self._inv[slot] @ b)[rows]
-        if not _feasible(x, self._A, self._eq, b):
-            return None
-        return Solution(status="optimal", objective=float(self._c @ x), values=x,
-                        names=self._names, basis=basis)
+        return solve_lp(prog)
 
     def _store(self, basis):
-        """Make `basis` the most recently used; its slot, or None if B is singular."""
+        """Make `basis` the most recently used. -> (its slot, whether B^-1 was new there)
+
+        The slot is None if B is singular.
+        """
         known = [entry[0] for entry in self._slots]
         if basis in known:
             self._use(known.index(basis))
-            return self._order[0]
+            return self._order[0], False
         idx = np.array(basis, dtype=np.intp)
         try:
             inv = np.linalg.inv(self._columns[:, idx])
         except np.linalg.LinAlgError:
-            return None
+            return None, False
         entry = (basis, np.flatnonzero(idx < len(self._c)), idx[idx < len(self._c)])
         if len(self._slots) < MAX_BASES:
             slot = len(self._slots)
@@ -127,8 +214,9 @@ class ParametricLP:
             self._slots[slot] = entry
             self._inv[slot] = inv
         self._order.insert(0, slot)
-        return slot
+        return slot, True
 
     def _use(self, slot):
-        self._order.remove(slot)
-        self._order.insert(0, slot)
+        if self._order[0] != slot:
+            self._order.remove(slot)
+            self._order.insert(0, slot)

@@ -357,24 +357,29 @@ def solve_lp_arrays(A, senses, b, c, sense=MAXIMIZE, uppers=None):
     return "optimal", float(c @ xv), xv
 
 
-def _feasible(xv, A, eq, b, uppers=None):
-    """Does xv satisfy A x (<=, or == where eq) b and 0 <= x (<= uppers), to EPS_FEAS?"""
+def _feasible(X, A, eq, B, uppers=None):
+    """Per row: does x, that row of X, satisfy A x (<=, or == where eq) b, that
+    row of B, and 0 <= x (<= uppers), to EPS_FEAS?
+
+    A x is one matrix-vector product per row, so each row gets the answer
+    it would get alone.
+    """
+    ok = ~(X.min(axis=1, initial=np.inf) < -EPS_FEAS)
     if A.size:
-        excess = A @ xv - b
+        excess = (A @ X[:, :, None])[:, :, 0] - B
         if eq.any():
             excess = np.where(eq, np.abs(excess), excess)
-        if excess.max() > EPS_FEAS:
-            return False
-    if xv.size and xv.min() < -EPS_FEAS:
-        return False
-    return uppers is None or not np.any(xv > uppers + EPS_FEAS)
+        ok &= ~(excess.max(axis=1) > EPS_FEAS)
+    if uppers is not None:
+        ok &= ~(X > uppers + EPS_FEAS).any(axis=1)
+    return ok
 
 
 def _verify(prog, xv, A, senses, b):
     """Does xv satisfy prog's rows (A, senses, b from prog.dense()) and bounds?"""
     eq = np.array([s == EQ for s in senses], dtype=bool)
     uppers = np.array([np.inf if v.upper is None else v.upper for v in prog.variables])
-    return _feasible(xv, A, eq, b, uppers)
+    return bool(_feasible(xv[None], A, eq, b[None], uppers)[0])
 
 
 def solve_lp(prog):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analyzer import EPS_MEM
+from .analyzer import EPS_MEM, evaluate_gaps
 from .rng import substream
 from .sampling import SamplingFailure, sample_region, stacked_rows
 
@@ -182,9 +182,11 @@ def check_significance(subspace, gap_fn, space, n_pairs=None, margin=0.025,
     Draws n_pairs points uniformly inside the region, pairs each with its
     reflection just outside the nearest facet (clipped to the space), and
     runs the one-sided signed-rank test on the inside-minus-outside
-    differences; n counts those the test does not drop as zeros. All-zero
-    differences yield keep=False rather than an error; a region too thin
-    to sample raises SamplingFailure.
+    differences; a point with no partner keeps difference 0. All points
+    and their partners go to gap_fn as one stack. n counts the
+    differences the test does not drop as zeros. All-zero differences
+    yield keep=False rather than an error; a region too thin to sample
+    raises SamplingFailure.
     """
     if n_pairs is None:
         n_pairs = dkw_samples(0.1, 0.05)
@@ -192,11 +194,11 @@ def check_significance(subspace, gap_fn, space, n_pairs=None, margin=0.025,
     inside = sample_region(subspace, space, n_pairs, rng)
     rows, rhs = stacked_rows(subspace, space.n)
     diffs = np.zeros(n_pairs)
-    for k, x in enumerate(inside):
-        partner = _outside_partner(x, rows, rhs, space, margin)
-        if partner is None:
-            continue
-        diffs[k] = float(gap_fn(x)) - float(gap_fn(partner))
+    partners = [_outside_partner(x, rows, rhs, space, margin) for x in inside]
+    paired = [k for k, y in enumerate(partners) if y is not None]
+    # one stack, each point before its partner: the order of one pair at a time
+    gaps = evaluate_gaps(gap_fn, [z for k in paired for z in (inside[k], partners[k])])
+    diffs[paired] = gaps[0::2] - gaps[1::2]
     try:
         w, p, method = wilcoxon_signed_rank(diffs, "greater")
     except AllZero:

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..analyzer import evaluate_gaps
 from ..rng import substream
 
 __all__ = ["RoughBox", "SliceGrid", "SubspaceParams", "grow_rough_subspace"]
@@ -88,7 +89,8 @@ def grow_rough_subspace(seed, space, gap_fn, params=None, seed_rng=0):
     """Grow the box around `seed` (an AdversarialPoint). -> (RoughBox, samples)
 
     Samples are (x tuple, gap) pairs: the seed itself plus every shell
-    draw, including the ones in shells that ended up frozen out.
+    draw, including the ones in shells that ended up frozen out. Each
+    shell's draws go to gap_fn as one stack.
     """
     params = params if params is not None else SubspaceParams()
     x0 = np.asarray(seed.x, dtype=float)
@@ -124,7 +126,7 @@ def grow_rough_subspace(seed, space, gap_fn, params=None, seed_rng=0):
                 pts = lo + rng.random((params.n_shell, n)) * (hi - lo)
                 pts[:, dim] = shell_lo + rng.random(params.n_shell) * (
                     shell_hi - shell_lo)
-                gaps = np.array([float(gap_fn(p)) for p in pts])
+                gaps = evaluate_gaps(gap_fn, pts)
                 samples.extend(
                     (tuple(float(v) for v in p), float(g))
                     for p, g in zip(pts, gaps))

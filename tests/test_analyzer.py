@@ -171,16 +171,33 @@ def test_exclusion_of_half_the_plateau_still_finds_the_rest():
     assert not membership(pt.x, excl.subspaces[0])
 
 
-def trace_of(space, budget, seed, exclusions=None):
-    seen = []
+class Recorder:
+    """plateau on the first two inputs, keeping every point it is asked about.
 
-    def recording(x):
-        seen.append(tuple(np.asarray(x, dtype=float)))
-        return plateau(x[:2])
+    A batched recorder takes stacks, as `Scenario.gap_fn` does; `calls`
+    holds the number of points each call brought.
+    """
 
-    find_adversarial(space, recording, exclusions=exclusions, budget=budget,
+    def __init__(self, batched=False, fn=None):
+        self.seen, self.calls = [], []
+        self.fn = fn if fn is not None else (lambda x: plateau(x[:2]))
+        self.batched = batched
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        rows = x if self.batched else x[None]
+        assert rows.ndim == 2
+        self.calls.append(len(rows))
+        self.seen.extend(tuple(r) for r in rows)
+        gaps = [float(self.fn(r)) for r in rows]
+        return np.array(gaps) if self.batched else gaps[0]
+
+
+def trace_of(space, budget, seed, exclusions=None, batched=False):
+    rec = Recorder(batched)
+    find_adversarial(space, rec, exclusions=exclusions, budget=budget,
                      min_gap=2.0, seed=seed)
-    return seen
+    return rec.seen
 
 
 def test_evaluation_trace_is_identical_across_runs():
@@ -189,6 +206,72 @@ def test_evaluation_trace_is_identical_across_runs():
     search_space = InputSpace(((0.0, 1.0),) * 4)
     assert trace_of(search_space, 240, 5) == trace_of(search_space, 240, 5)
     assert trace_of(search_space, 240, 5) != trace_of(search_space, 240, 6)
+    # a gap function that takes stacks sees the same points in the same order
+    for space, budget in ((grid_space, 200), (search_space, 240)):
+        assert trace_of(space, budget, 5, batched=True) == trace_of(space, budget, 5)
+
+
+def test_batched_search_sees_the_draws_exclusions_let_through_in_order():
+    space = InputSpace(((0.0, 1.0),) * 4)
+    excls = [ExclusionSet([box_region([0.0] * 4, [0.5, 1.0, 1.0, 1.0]), D0], revisit_cap=50)
+             for _ in range(2)]
+    traces = [trace_of(space, 240, 9, excl, batched) for excl, batched in zip(excls, (False, True))]
+    assert traces[0] == traces[1] and len(traces[0]) == 240
+    assert excls[0].revisits == excls[1].revisits and excls[0].revisits[0] > 0
+    assert all(not excls[0].contains(x) for x in traces[0])
+
+
+def test_batched_search_cuts_the_last_poll_round_at_the_budget():
+    # 241 = 120 draws plus 121 polls: rounds of eight poll candidates on
+    # four inputs, so the budget ends inside a round
+    space = InputSpace(((0.0, 1.0),) * 4)
+    one, many = Recorder(), Recorder(batched=True)
+    for rec in (one, many):
+        found = find_adversarial(space, rec, budget=241, min_gap=2.0, seed=5)
+        assert found.evaluations == 241
+    assert many.seen == one.seen and len(one.seen) == 241
+    assert many.calls[0] == 120 and set(many.calls[1:-1]) == {8}
+    assert 0 < many.calls[-1] < 8
+
+
+def test_batched_grow_sees_each_shell_in_order():
+    from xplain.subspaces import SubspaceParams, grow_rough_subspace
+
+    space = InputSpace(((0.0, 1.0),) * 2)
+    seed = AdversarialPoint(x=(0.5, 0.25), gap=1.0, strategy="grid", evaluations=1)
+    params = SubspaceParams(n_shell=30)
+    one, many = Recorder(), Recorder(batched=True)
+    grown = [grow_rough_subspace(seed, space, rec, params, seed_rng=4) for rec in (one, many)]
+    assert grown[0] == grown[1]
+    assert many.seen == one.seen and set(many.calls) == {30} and len(many.calls) > 4
+
+
+def test_batched_significance_sees_each_point_then_its_partner():
+    from xplain.sampling import sample_region, stacked_rows
+    from xplain.rng import substream
+    from xplain.stats import _outside_partner, check_significance, wilcoxon_signed_rank
+
+    # the whole square cut by x0 - 10 x1 <= 0.95: the reflection across
+    # that row is clipped back inside for most points, which then have no
+    # partner and keep difference 0
+    space = InputSpace(((0.0, 1.0),) * 2)
+    region = box_region([0.0, 0.0], [1.0, 1.0])
+    region.T, region.V = np.array([[1.0, -10.0]]), np.array([0.95])
+    gap = lambda x: float(x[0] ** 2 + 0.3 * x[1])
+    one, many = Recorder(fn=gap), Recorder(batched=True, fn=gap)
+    reports = [check_significance(region, rec, space, n_pairs=60, seed=2)
+               for rec in (one, many)]
+    assert reports[0] == reports[1] and many.seen == one.seen and many.calls == [len(one.seen)]
+
+    inside = sample_region(region, space, 60, substream(2, "significance"))
+    rows, rhs = stacked_rows(region, 2)
+    partners = [_outside_partner(x, rows, rhs, space, 0.025) for x in inside]
+    paired = [k for k, y in enumerate(partners) if y is not None]
+    assert 0 < len(paired) < 60
+    assert one.seen == [tuple(z) for k in paired for z in (inside[k], partners[k])]
+    diffs = [gap(x) - gap(y) if y is not None else 0.0 for x, y in zip(inside, partners)]
+    w, p, _ = wilcoxon_signed_rank(diffs, "greater")
+    assert (reports[0].W, reports[0].p) == (w, p)
 
 
 def test_budget_must_be_positive():

@@ -219,3 +219,24 @@ def test_trend_json_roundtrip():
     doc = json.loads(text)
     assert [r["instance"] for r in doc["observations"]] == \
         [sc.name for sc in insts]
+
+
+def test_default_probe_gives_what_a_plain_per_point_probe_gives():
+    # the default probe hands the analyzer the scenario's batched gap
+    # function; wrapped as a plain callable it is asked one point at a
+    # time, and the finding must not change by one bit
+    from xplain.analyzer import NotFound, find_adversarial
+    from xplain.generalize import PROBE_BUDGET
+
+    def per_point(sc, seed):
+        gap_fn = sc.gap_fn()
+        found = find_adversarial(sc.space(), lambda x: gap_fn(x), budget=PROBE_BUDGET,
+                                 min_gap=0.0, seed=seed)
+        return found.best_gap if isinstance(found, NotFound) else found.gap
+
+    pred = Predicate("increasing", "pinned_shortest_path_length")
+    findings = [evaluate_predicate(pred, generate_instances(line_family(seed=3)),
+                                   gap_probe=probe, seed=11)
+                for probe in (None, per_point)]
+    assert findings[0] == findings[1]
+    assert trend_to_json(findings[0]) == trend_to_json(findings[1])

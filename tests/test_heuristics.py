@@ -30,8 +30,9 @@ from xplain.heuristics import (
 )
 from xplain import solver
 from xplain.generalize import InstanceFamily, generate_instances
+from xplain.rng import fold
 from xplain.heuristics.binpack_bounds import gilmore_gomory_bound, l2_bound
-from xplain.heuristics.te import _max_flow
+from xplain.heuristics.te import _max_flow_lp
 from xplain.solver import LE, ConstraintProgram, Solution, SolverError, counting
 
 
@@ -168,8 +169,10 @@ def test_max_flow_layout_matches_row_by_row_build(fig1a, monkeypatch):
             d = rng.uniform(0.0, 100.0, size=inst.n_demands)
             skip = {k for k in range(inst.n_demands) if rng.random() < 0.4}
             residual = [float(rng.uniform(0.0, l.capacity)) for l in inst.links]
+            mf = _max_flow_lp(inst, d, residual, frozenset(skip))
+            b = np.concatenate([d, residual])[mf.rows]
             with pytest.raises(RuntimeError, match="captured"):
-                _max_flow(inst, d, residual, skip)
+                mf.lp.solve(b)
             got = captured.pop()
             ref = _reference_max_flow_program(inst, d, residual, skip)
             assert isinstance(got, ConstraintProgram)
@@ -237,6 +240,123 @@ def test_te_instance_keeps_the_max_flows_of_the_last_pinned_sets(fig1a, monkeypa
         used = [k for k in used if k != key] + [key]
         assert list(warm_inst._max_flow_lps) == used[-3:]
     assert len(used) > 3
+
+
+def _fresh(inst):
+    """A copy of a TE instance with no stored max-flow LPs."""
+    return type(inst)(inst.nodes, inst.links, inst.demands, inst.threshold)
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def _stack_matches_rows(make_fn, X):
+    """make_fn()(X) against make_fn()(x) row by row, each on its own fresh function.
+
+    The gaps must agree bit for bit, and so must the solver work.
+    """
+    rows_fn, stack_fn = make_fn(), make_fn()
+    with counting() as row_work:
+        rows = [rows_fn(x) for x in X]
+    with counting() as stack_work:
+        stack = stack_fn(X)
+    assert isinstance(stack, np.ndarray) and stack.shape == (len(X),)
+    assert _bits(stack) == _bits(rows)
+    assert stack_work == row_work
+    return stack_work
+
+
+@pytest.mark.parametrize("mode", ["absolute", "relative"])
+def test_te_gap_of_a_stack_is_the_gaps_of_its_rows(mode):
+    # every te-line instance the benchmark's generalize run probes, a third
+    # of each stack on degenerate values
+    line = InstanceFamily("te-line", count=10, size_range=(2, 6), seed=fold(7, "generalize", "family"))
+    rng = np.random.default_rng(2024)
+    for sc in generate_instances(line):
+        X = np.array(_te_demand_vectors(sc.instance, rng, 60))
+        work = _stack_matches_rows(lambda: dp_gap_fn(_fresh(sc.instance), mode), X)
+        assert work.lp_warm > 0 and work.lp_cold > 0
+
+
+@pytest.mark.parametrize("mode", ["absolute", "relative"])
+def test_fig1a_gap_of_a_stack_crosses_the_pinned_set_bound(fig1a, mode):
+    # demands around the threshold pin a different set on most rows: the
+    # stack uses more pinned sets than an instance keeps, so LPs are
+    # evicted and built again, and cold-solved, inside the one stack
+    import xplain.heuristics.te as te
+
+    inst = fig1a.instance
+    X = np.random.default_rng(77).uniform(0.0, 2.0 * inst.threshold, size=(300, 8))
+    X[::7, 2] = inst.threshold
+    assert len({tuple(row <= inst.threshold) for row in X}) > 2 * te.MAX_PINNED_SETS
+    work = _stack_matches_rows(lambda: dp_gap_fn(_fresh(inst), mode), X)
+    assert work.lp_cold > te.MAX_PINNED_SETS and work.lp_warm > 0
+
+
+def test_ff4_gap_of_a_stack_is_the_gaps_of_its_rows():
+    sc = builtin("ff4")
+    lo, hi = np.array(sc.bounds).T
+    X = lo + np.random.default_rng(5).random((40, 4)) * (hi - lo)
+    X[::5] = [s[0] for s in sc.instance.sizes]
+    _stack_matches_rows(lambda: ff_gap_fn(sc.instance), X)
+
+
+def test_te_gap_checks_every_row_before_it_routes_any(fig1a):
+    inst = _fresh(fig1a.instance)
+    fn = dp_gap_fn(inst)
+    good = np.random.default_rng(3).uniform(0.0, 100.0, size=(4, 8))
+    fn(good)
+    kept = {key: (mf.lp, list(mf.lp._order)) for key, mf in inst._max_flow_lps.items()}
+    bad_rows = [np.full(7, 10.0), np.r_[good[0, :7], np.nan], np.r_[good[0, :7], np.inf],
+                np.r_[good[0, :7], -1.0]]
+    with counting() as work:
+        for bad in bad_rows:
+            with pytest.raises(ValueError) as alone:
+                run_dp(fig1a.instance, bad)
+            with pytest.raises(ValueError) as stacked:
+                fn(np.vstack([good[:, :len(bad)], bad]))
+            assert str(stacked.value) == str(alone.value)
+        assert fn(np.zeros((0, 8))).shape == (0,)
+    assert work == type(work)()  # nothing counted
+    assert {key: (mf.lp, list(mf.lp._order)) for key, mf in inst._max_flow_lps.items()} == kept
+
+
+def test_row_wise_pinning_and_totals_match_the_loop_reference(fig1a):
+    # the one-vector loops that pinning and TeAllocation.total were before
+    # they ran on stacks: the same float operations in the same order
+    from xplain.heuristics.te import _pin, _totals
+
+    def pin_loop(inst, d):
+        lay = inst.flow_layout
+        residual = lay.capacities.tolist()
+        flows = [[0.0] * len(dem.paths) for dem in inst.demands]
+        for k, rate in enumerate(d.tolist()):
+            if rate > inst.threshold:
+                continue
+            hops = lay.shortest_links[k]
+            rate = min(rate, min(residual[i] for i in hops))
+            flows[k][lay.shortest_index[k]] = rate
+            for i in hops:
+                residual[i] -= rate
+        return [x for row in flows for x in row], residual
+
+    line = InstanceFamily("te-line", count=4, size_range=(2, 6), seed=3)
+    rng = np.random.default_rng(31)
+    for inst in [fig1a.instance, *(sc.instance for sc in generate_instances(line))]:
+        D = np.array(_te_demand_vectors(inst, rng, 40))
+        flows, residual, pinned = _pin(inst, D)
+        assert np.array_equal(pinned, D <= inst.threshold)
+        for d, f, r in zip(D, flows, residual):
+            ref_flows, ref_residual = pin_loop(inst, d)
+            assert _bits(f) == _bits(ref_flows) and _bits(r) == _bits(ref_residual)
+        F = rng.uniform(0.0, 100.0, size=(40, len(inst.flow_layout.variables)))
+        F[F < 30.0] = 0.0
+        per_demand = [[[row[j] for j in cols] for cols in inst.flow_layout.demand_columns]
+                      for row in F.tolist()]
+        padded = np.hstack([F, np.zeros((40, 1))])
+        assert _bits(_totals(inst, padded)) == _bits(
+            [sum(sum(flows) for flows in row) for row in per_demand])
 
 
 def test_te_instance_rejects_a_link_listed_twice():

@@ -436,3 +436,61 @@ def test_parametric_lp_rejects_what_it_cannot_reuse():
         ParametricLP(make_lp([[1.0]], [LE], [1.0], [1.0], kinds=[BINARY]))
     with pytest.raises(ValueError, match="right-hand sides"):
         ParametricLP(make_lp([[1.0]], [LE], [1.0], [1.0])).solve([1.0, 2.0])
+
+
+def _same_solution(a, b):
+    """Bit for bit the same Solution (values compared as arrays)."""
+    assert (a.status, a.objective, a.basis, a.names) == (b.status, b.objective, b.basis, b.names)
+    assert (a.values is None) == (b.values is None)
+    if a.values is not None:
+        assert np.array_equal(a.values, b.values)
+
+
+def test_parametric_lp_solve_many_is_solve_row_by_row():
+    # the right-hand sides of test_parametric_lp_matches_cold_solves, a few
+    # with an equality row: one stack per LP against one solve per row on a
+    # twin, which must end with the same stored bases in the same order
+    rng = np.random.default_rng(1207)
+    evicting = 0
+    for trial in range(12):
+        m, n = int(rng.integers(3, 7)), int(rng.integers(3, 8))
+        A = rng.integers(0, 4, size=(m, n)).astype(float)
+        A[rng.integers(0, m, size=n), np.arange(n)] += 1.0
+        c = rng.integers(1, 5, size=n).astype(float)
+        senses = [LE] * m
+        if trial % 3 == 0:
+            senses[0] = EQ
+        B = []
+        for t in range(80):
+            if t % 4 == 0:
+                B.append(rng.uniform(0.0, 10.0, size=m) * (rng.random(m) < 0.6))
+            elif t % 4 == 1:
+                B.append(A @ (rng.integers(0, 3, size=n) * (rng.random(n) < 0.4)))
+            else:
+                B.append(rng.uniform(0.0, 10.0, size=m))
+        B = np.array(B)
+        one, many = (ParametricLP(make_lp(A, senses, B[0], c)) for _ in range(2))
+        with counting() as row_work:
+            rows = [one.solve(b) for b in B]
+        with counting() as stack_work:
+            stack = many.solve_many(B)
+        assert len(stack) == len(B)
+        for a, b in zip(rows, stack):
+            _same_solution(a, b)
+        assert (stack_work.lp_warm, stack_work.lp_cold) == (row_work.lp_warm, row_work.lp_cold)
+        assert [one._slots[k][0] for k in one._order] == [many._slots[k][0] for k in many._order]
+        assert np.array_equal(one._inv, many._inv)
+        evicting += len({s.basis for s in rows}) > MAX_BASES
+    assert evicting >= 4
+
+
+def test_parametric_lp_solve_many_checks_the_stack_first():
+    A = np.array([[1.0, 2.0], [3.0, 1.0]])
+    lp = ParametricLP(_le_lp(A, [4.0, 6.0], [1.0, 1.0]))
+    with counting() as work:
+        empty = lp.solve_many(np.zeros((0, 2)))
+    assert len(empty) == 0 and empty.values.shape == (0, 2)
+    assert (work.lp_warm, work.lp_cold, lp._slots) == (0, 0, [])
+    for bad in (np.zeros((3, 3)), np.zeros(2), np.zeros((1, 2, 1))):
+        with pytest.raises(ValueError, match="right-hand sides"):
+            lp.solve_many(bad)
