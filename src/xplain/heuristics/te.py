@@ -19,6 +19,9 @@ from .._validation import check_scalar
 # max-flow LPs an instance keeps, one per set of skipped demands; fig1a_dp
 # uses 140 sets in a seed-7 `analyze`, an instance with n demands up to 2^n
 MAX_PINNED_SETS = 64
+# rows routed at a time: bounds the stacks each stored basis screens, and
+# so the memory a large stack takes, at little cost per row
+ROUTE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -366,5 +369,9 @@ def dp_and_optimal_totals(inst, D):
     would give, and with the same LP work.
     """
     D = _checked_demands(inst, D, 2)
-    dp, opt = _route(inst, D, (True, False))
-    return _totals(inst, dp), _totals(inst, opt)
+    dp, opt = np.empty(len(D)), np.empty(len(D))
+    for start in range(0, len(D), ROUTE_ROWS):
+        rows = slice(start, start + ROUTE_ROWS)
+        flows = _route(inst, D[rows], (True, False))
+        dp[rows], opt[rows] = _totals(inst, flows[0]), _totals(inst, flows[1])
+    return dp, opt

@@ -283,11 +283,13 @@ def test_te_gap_of_a_stack_is_the_gaps_of_its_rows(mode):
 def test_fig1a_gap_of_a_stack_crosses_the_pinned_set_bound(fig1a, mode):
     # demands around the threshold pin a different set on most rows: the
     # stack uses more pinned sets than an instance keeps, so LPs are
-    # evicted and built again, and cold-solved, inside the one stack
+    # evicted and built again, and cold-solved, inside the one stack, which
+    # is also routed in more than one piece
     import xplain.heuristics.te as te
 
     inst = fig1a.instance
     X = np.random.default_rng(77).uniform(0.0, 2.0 * inst.threshold, size=(300, 8))
+    assert len(X) > te.ROUTE_ROWS
     X[::7, 2] = inst.threshold
     assert len({tuple(row <= inst.threshold) for row in X}) > 2 * te.MAX_PINNED_SETS
     work = _stack_matches_rows(lambda: dp_gap_fn(_fresh(inst), mode), X)
