@@ -3,7 +3,9 @@
 The pinning heuristic routes every demand at or below a threshold onto its
 designated shortest path (clamped to residual capacity), then solves a
 path-based max-flow over what remains. The benchmark solves the same
-path-based max-flow without pinning anything.
+path-based max-flow without pinning anything. `run_dp` and `optimal_te`
+take one demand vector; `dp_and_optimal_totals` routes a whole stack both
+ways, with the totals the two would give one vector at a time.
 """
 
 from collections import OrderedDict
