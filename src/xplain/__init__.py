@@ -17,7 +17,6 @@ from .explain import (
     emit_dot,
     emit_json,
     heatmap_from_json,
-    scenario_evaluators,
     score_edges,
 )
 from .generalize import (
@@ -98,7 +97,6 @@ __all__ = [
     "emit_dot",
     "emit_json",
     "heatmap_from_json",
-    "scenario_evaluators",
     "score_edges",
     # generalize
     "FEATURES",

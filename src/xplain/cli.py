@@ -22,7 +22,7 @@ import numpy as np
 from . import flow
 from .analyzer import NotFound, find_adversarial
 from .bridge import encode_milp, load_milp, milp_to_program, solve_encoded
-from .explain import emit_dot, emit_json, scenario_evaluators, score_edges
+from .explain import emit_dot, emit_json, score_edges
 from .generalize import (
     InstanceFamily,
     Predicate,
@@ -33,6 +33,7 @@ from .generalize import (
 )
 from .heuristics import (
     BUILTIN,
+    Unplaceable,
     builtin,
     load_scenario,
     optimal_te,
@@ -202,16 +203,19 @@ def cmd_run_heuristic(cfg, args):
             f"scenario has {sc.dimension} inputs, config gives {len(x)}")
 
     if sc.kind == "te":
-        dp = run_dp(sc.instance, x)
+        try:
+            dp = run_dp(sc.instance, x)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         opt = optimal_te(sc.instance, x)
         sys.stdout.write(f"DP total {_num(dp.total)}\n")
         sys.stdout.write(f"OPT total {_num(opt.total)}\n")
     else:
         try:
             sized = sized_instance(sc.instance, x)
-        except ValueError as exc:
+            ff = run_ff(sized)
+        except (ValueError, Unplaceable) as exc:
             raise ConfigError(str(exc)) from exc
-        ff = run_ff(sized)
         # the MILP, not min_bins, until bench/tracer.py can time a command
         # shorter than its gauge's 20 ms sampling interval (see ROADMAP)
         opt = optimal_vbp(sized)
@@ -321,10 +325,10 @@ def cmd_explain(cfg, args):
     if not isinstance(n_samples, int) or n_samples < 1:
         raise ConfigError("explainer.n_samples must be a positive integer")
 
-    net, heuristic_eval, benchmark_eval = scenario_evaluators(sc)
+    net = sc.network()
     try:
-        hm = score_edges(net, heuristic_eval, benchmark_eval, subs[index],
-                         space=sc.space(), n_samples=n_samples, seed=args.seed)
+        hm = score_edges(net, sc.edge_flows, subs[index], space=sc.space(),
+                         n_samples=n_samples, seed=args.seed)
     except SamplingFailure as exc:
         log.error("subspace too thin to sample: %s", exc)
         return EXIT_NOT_FOUND

@@ -14,15 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analyzer import InputSpace
-from .heuristics import (
-    min_bins,
-    optimal_te,
-    project_allocation,
-    run_dp,
-    run_ff,
-    sized_instance,
-    to_flow_network,
-)
 from .rng import substream
 from .sampling import sample_region
 from .subspaces import subspace_from_dict, subspace_to_dict
@@ -34,7 +25,6 @@ __all__ = [
     "emit_dot",
     "emit_json",
     "heatmap_from_json",
-    "scenario_evaluators",
     "score_edges",
 ]
 
@@ -104,14 +94,13 @@ def _box_space(subspace):
     return InputSpace(tuple(zip(lo, hi)), labels=labels)
 
 
-def score_edges(net, heuristic_eval, benchmark_eval, subspace, space=None,
-                n_samples=N_SAMPLES, seed=0):
+def score_edges(net, evaluate, subspace, space=None, n_samples=N_SAMPLES, seed=0):
     """Sample the subspace and tally per-edge disagreement on `net`.
 
-    The evaluators map an input vector to an edge-id -> flow mapping
-    (normally `project_allocation` of the respective solver's output).
-    Deterministic for a fixed seed. Raises SamplingFailure when the
-    subspace is too thin to sample.
+    `evaluate` maps the N x n stack of samples to (heuristic, benchmark)
+    flows, two N x E arrays with one column per edge of `net` in order
+    (normally `Scenario.edge_flows`). Deterministic for a fixed seed.
+    Raises SamplingFailure when the subspace is too thin to sample.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -120,74 +109,28 @@ def score_edges(net, heuristic_eval, benchmark_eval, subspace, space=None,
     rng = substream(seed, "explain", "samples")
     points = sample_region(subspace, space, n_samples, rng)
 
-    edge_ids = [e.id for e in net.edges]
-    bench_only = dict.fromkeys(edge_ids, 0)
-    heur_only = dict.fromkeys(edge_ids, 0)
-    both = dict.fromkeys(edge_ids, 0)
-    delta = dict.fromkeys(edge_ids, 0.0)
-
-    for x in points:
-        hflow = heuristic_eval(x)
-        bflow = benchmark_eval(x)
-        for eid in edge_ids:
-            h = hflow.get(eid, 0.0)
-            b = bflow.get(eid, 0.0)
-            hs, bs = h > EPS_FLOW, b > EPS_FLOW
-            if hs and bs:
-                both[eid] += 1
-            elif bs:
-                bench_only[eid] += 1
-            elif hs:
-                heur_only[eid] += 1
-            delta[eid] += abs(b - h)
+    H, B = (np.asarray(flows, dtype=float) for flows in evaluate(points))
+    shape = (n_samples, len(net.edges))
+    if H.shape != shape or B.shape != shape:
+        raise ValueError(f"evaluate gave {H.shape} and {B.shape} flows, not {shape}")
+    hs, bs = H > EPS_FLOW, B > EPS_FLOW
+    both = (hs & bs).sum(axis=0).tolist()
+    bench_only = (bs & ~hs).sum(axis=0).tolist()
+    heur_only = (hs & ~bs).sum(axis=0).tolist()
+    # summed in sample order, from 0
+    delta = np.cumsum(np.abs(B - H), axis=0)[-1].tolist()
 
     scores = {
-        eid: EdgeScore(
-            both=both[eid],
-            benchmark_only=bench_only[eid],
-            heuristic_only=heur_only[eid],
-            neither=n_samples - both[eid] - bench_only[eid] - heur_only[eid],
-            mean_abs_flow_delta=delta[eid] / n_samples,
+        e.id: EdgeScore(
+            both=both[j],
+            benchmark_only=bench_only[j],
+            heuristic_only=heur_only[j],
+            neither=n_samples - both[j] - bench_only[j] - heur_only[j],
+            mean_abs_flow_delta=delta[j] / n_samples,
         )
-        for eid in edge_ids
+        for j, e in enumerate(net.edges)
     }
     return Heatmap(n_samples=n_samples, scores=scores, subspace=subspace)
-
-
-def scenario_evaluators(scenario):
-    """(net, heuristic_eval, benchmark_eval) for a scenario's solver pair.
-
-    TE compares demand pinning against the optimal routing; VBP compares
-    first-fit against the optimal packing, both over a pool of one bin
-    per ball so every assignment fits the shared network.
-    """
-    inst = scenario.instance
-    if scenario.kind == "te":
-        net = to_flow_network(inst, "dp")
-
-        def heuristic_eval(x):
-            return project_allocation(run_dp(inst, x), net, inst)
-
-        def benchmark_eval(x):
-            return project_allocation(optimal_te(inst, x), net, inst)
-
-        return net, heuristic_eval, benchmark_eval
-
-    if scenario.kind == "vbp":
-        net = to_flow_network(sized_instance(inst, scenario.baseline_inputs()), "ff",
-                              n_bins=inst.n_balls)
-
-        def heuristic_eval(x):
-            s = sized_instance(inst, x)
-            return project_allocation(run_ff(s), net, s)
-
-        def benchmark_eval(x):
-            s = sized_instance(inst, x)
-            return project_allocation(min_bins(s), net, s)
-
-        return net, heuristic_eval, benchmark_eval
-
-    raise ValueError(f"unknown scenario kind {scenario.kind!r}")
 
 
 NODE_FILLS = {

@@ -1,19 +1,18 @@
 """Built-in problem families, their heuristics, benchmarks, and network views."""
 
-from .gap import EPS_DEN, dp_gap_fn, ff_gap_fn, gap
+from .gap import EPS_DEN, gap
 from .networks import (
-    TE_MODELS,
-    VBP_MODELS,
     ball_node,
     demand_node,
     link_edge_id,
     project_allocation,
+    project_edges,
     te_network,
-    to_flow_network,
     vbp_network,
 )
 from .scenario import (
     BUILTIN,
+    Outcome,
     Scenario,
     builtin,
     load_scenario,
@@ -43,10 +42,10 @@ from .vbp import (
 )
 
 __all__ = [
-    "EPS_DEN", "dp_gap_fn", "ff_gap_fn", "gap",
-    "TE_MODELS", "VBP_MODELS", "ball_node", "demand_node", "link_edge_id",
-    "project_allocation", "te_network", "to_flow_network", "vbp_network",
-    "BUILTIN", "Scenario", "builtin", "load_scenario", "save_scenario",
+    "EPS_DEN", "gap",
+    "ball_node", "demand_node", "link_edge_id",
+    "project_allocation", "project_edges", "te_network", "vbp_network",
+    "BUILTIN", "Outcome", "Scenario", "builtin", "load_scenario", "save_scenario",
     "scenario_from_dict", "scenario_to_dict",
     "Demand", "Link", "TeAllocation", "TeInstance", "all_simple_paths",
     "k_shortest_paths", "make_instance", "optimal_te", "run_dp",

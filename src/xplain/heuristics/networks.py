@@ -5,13 +5,12 @@ and the VBP view (ball picks over capacitated bin splits) share their edge
 ids between heuristic and benchmark so edge-level comparisons line up.
 """
 
+import numpy as np
+
 from ..flow import Copy, FlowNetwork, Pick, Sink, Source, Split
 from ..flow import MAXIMIZE, MINIMIZE
-from .te import TeAllocation, _path_links
+from .te import TeAllocation, TeInstance, _path_links
 from .vbp import VbpAllocation
-
-TE_MODELS = ("dp", "opt_te")
-VBP_MODELS = ("ff", "opt_vbp")
 
 
 def _path_id(path):
@@ -26,7 +25,8 @@ def link_edge_id(link):
     return f"met:{link.src}->{link.dst}"
 
 
-def te_network(inst, model="opt_te"):
+def te_network(inst):
+    """Its edges come in the order of the instance's `FlowLayout.edge_grid`."""
     net = FlowNetwork()
     net.add_node("unmet", Sink(sense=MINIMIZE), metadata={"role": "unmet"})
     net.add_node("met", Sink(sense=MAXIMIZE), metadata={"role": "met"})
@@ -50,8 +50,6 @@ def te_network(inst, model="opt_te"):
                 net.add_edge(f"traverse:{_path_id(path)}:{u}->{v}",
                              pid, f"link:{u}->{v}",
                              metadata={"role": "traverse", "link": f"{u}->{v}"})
-    for nid in net.node_metadata:
-        net.node_metadata[nid]["model"] = model
     return net
 
 
@@ -59,7 +57,8 @@ def ball_node(i):
     return f"ball:{i}"
 
 
-def vbp_network(inst, model="ff", n_bins=None):
+def vbp_network(inst, n_bins=None):
+    """One `occupied` edge per bin, then one `place` edge per (ball, bin)."""
     if inst.unbounded and n_bins is None:
         raise ValueError("unbounded bin pool: pass n_bins to fix the network size")
     if inst.dim != 1:
@@ -77,41 +76,47 @@ def vbp_network(inst, model="ff", n_bins=None):
         for j in range(len(bins)):
             net.add_edge(f"place:{i}:{j}", ball_node(i), f"bin:{j}",
                          metadata={"role": "place", "ball": str(i), "bin": str(j)})
-    for nid in net.node_metadata:
-        net.node_metadata[nid]["model"] = model
     return net
 
 
-def to_flow_network(inst, model, n_bins=None):
-    """Fig-style network for a problem instance under the named model."""
-    if model in TE_MODELS:
-        return te_network(inst, model)
-    if model in VBP_MODELS:
-        return vbp_network(inst, model, n_bins=n_bins)
-    raise ValueError(f"unknown model {model!r}")
+def project_edges(net, inst, X, decisions):
+    """Each row's decisions as flows on `net`'s edges, an N x E array.
+
+    `net` is `te_network(inst)` or a `vbp_network` of the balls of X, and
+    `decisions` one side of `Scenario.evaluate(X)`. A TE edge carries, from
+    0 and in path order, the flow of each path it belongs to; an unmet edge
+    carries max(0, demand - routed). A VBP ball puts its size on its place
+    edge and, in ball order, on its bin's occupied edge.
+    """
+    X = np.asarray(X, dtype=float)
+    if isinstance(inst, TeInstance):
+        lay = inst.flow_layout
+        if len(lay.edge_grid) != len(net.edges):
+            raise ValueError("the network is not the instance's te_network")
+        flows = np.cumsum(decisions[:, lay.edge_grid], axis=2)[:, :, -1]
+        short = X - flows[:, lay.unmet_edges]
+        flows[:, lay.unmet_edges] = np.where(short > 0.0, short, 0.0)
+        return flows
+    n, n_bins = X.shape[1], len(net.edges) // (X.shape[1] + 1)
+    place = np.where(decisions[:, :, None] == np.arange(n_bins), X[:, :, None], 0.0)
+    occupied = np.zeros((len(X), n_bins))
+    for i in range(n):
+        occupied += place[:, i]
+    return np.hstack([occupied, place.reshape(len(X), n * n_bins)])
 
 
 def project_allocation(alloc, net, inst):
-    """Express an allocation's decisions as flows on `net`'s edges."""
-    flows = {e.id: 0.0 for e in net.edges}
+    """One allocation's decisions as an edge id -> flow mapping on `net`.
+
+    The one-row case of `project_edges`.
+    """
     if isinstance(alloc, TeAllocation):
-        for k, dem in enumerate(inst.demands):
-            routed = 0.0
-            for p, path in enumerate(dem.paths):
-                f = float(alloc.flows[k][p])
-                routed += f
-                if f == 0.0:
-                    continue
-                flows[f"assign:{dem.key}:{_path_id(path)}"] += f
-                for u, v in _path_links(path):
-                    flows[f"traverse:{_path_id(path)}:{u}->{v}"] += f
-                    flows[f"met:{u}->{v}"] += f
-            flows[f"unmet:{dem.key}"] = max(0.0, float(alloc.demands[k]) - routed)
-        return flows
-    if isinstance(alloc, VbpAllocation):
-        for i, j in enumerate(alloc.assignment):
-            size = inst.sizes[i][0]
-            flows[f"place:{i}:{j}"] = size
-            flows[f"occupied:{j}"] += size
-        return flows
-    raise TypeError(f"cannot project {type(alloc).__name__}")
+        X = [alloc.demands]
+        decisions = np.array([[f for row in alloc.flows for f in row] + [0.0]])
+    elif isinstance(alloc, VbpAllocation):
+        X = [[s[0] for s in inst.sizes]]
+        decisions = np.array([alloc.assignment], dtype=np.intp)
+    else:
+        raise TypeError(f"cannot project {type(alloc).__name__}")
+    row = project_edges(net, inst, X, decisions)[0]
+    return dict(zip((e.id for e in net.edges), row.tolist()))

@@ -2,13 +2,65 @@
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
+from typing import NamedTuple
 
-from .gap import dp_gap_fn, ff_gap_fn
-from .te import Demand, Link, TeInstance, k_shortest_paths
-from .vbp import VbpInstance
+import numpy as np
+
+from .gap import gap
+from .networks import project_edges, te_network, vbp_network
+from .te import (
+    ROUTE_ROWS,
+    Demand,
+    Link,
+    TeInstance,
+    _checked_demands,
+    _route,
+    _totals,
+    k_shortest_paths,
+)
+from .vbp import VbpInstance, min_bins, run_ff, sized_instance
 
 BUILTIN = ("fig1a_dp", "ff4", "fig3_ff17")
+
+
+class Outcome(NamedTuple):
+    """One side of `Scenario.evaluate` on an N x n stack."""
+
+    values: np.ndarray     # per row: the routed total (TE), the bins used (VBP)
+    # per row, the raw decisions: the per-path flows in the instance's
+    # flow-layout order and a zero column (TE), the bin of each ball (VBP)
+    decisions: np.ndarray
+
+
+def _evaluate_te(inst, X):
+    """Pinning, then the max flow alone, on each row in turn.
+
+    So every row gets, bit for bit and with the same LP work, what `run_dp`
+    then `optimal_te` on it would give.
+    """
+    D = _checked_demands(inst, X, 2)
+    flows = np.empty((2, len(D), len(inst.flow_layout.variables) + 1))
+    for start in range(0, len(D), ROUTE_ROWS):
+        rows = slice(start, start + ROUTE_ROWS)
+        flows[:, rows] = _route(inst, D[rows], (True, False))
+    return tuple(Outcome(_totals(inst, f), f) for f in flows)
+
+
+def _evaluate_vbp(inst, X):
+    """First-fit, then `min_bins`, on each row's sized instance in turn."""
+    if inst.dim != 1:
+        raise ValueError("size inputs expect single-dimension balls")
+    X = np.asarray(X, dtype=float)
+    values = np.empty((2,) + X.shape[:1])
+    decisions = np.empty((2,) + X.shape, dtype=np.intp)
+    for i, x in enumerate(X):
+        sized = sized_instance(inst, x)
+        for side, alloc in enumerate((run_ff(sized), min_bins(sized))):
+            values[side, i] = alloc.bins_used
+            decisions[side, i] = alloc.assignment
+    return tuple(Outcome(v, a) for v, a in zip(values, decisions))
 
 
 @dataclass(frozen=True)
@@ -33,10 +85,65 @@ class Scenario:
             return tuple(d.key for d in self.instance.demands)
         return tuple(f"ball{i}" for i in range(self.instance.n_balls))
 
-    def gap_fn(self, mode="absolute"):
+    def evaluate(self, X):
+        """(heuristic, benchmark) Outcomes on each row of the N x n stack X.
+
+        TE runs demand pinning against the optimal routing, VBP first-fit
+        against the optimal packing in an unbounded pool of the instance's
+        bin type (`sized_instance`).
+        """
         if self.kind == "te":
-            return dp_gap_fn(self.instance, mode=mode)
-        return ff_gap_fn(self.instance, mode=mode)
+            return _evaluate_te(self.instance, X)
+        return _evaluate_vbp(self.instance, X)
+
+    def gap_fn(self, mode="absolute"):
+        """input vector -> how much worse the heuristic did than the benchmark.
+
+        The function also takes an N x n stack of inputs and returns the N
+        gaps, bit for bit what N calls on the rows in turn would return, and
+        says so by its `batched` attribute, which `analyzer.evaluate_gaps`
+        reads.
+        """
+
+        def fn(x):
+            x = np.asarray(x, dtype=float)
+            if x.ndim == 2 and self.kind == "vbp":
+                # one gap() per row: vbp rows share no solver state, and
+                # bench/tracer.py's gauge, which times a traced command only
+                # after its first 20 ms of CPU, needs the per-row gap spans
+                # to get there on vbp-ff4 (ROADMAP item 1)
+                return np.array([fn(row) for row in x], dtype=float)
+            X = x[None] if x.ndim == 1 else x
+            bench = []  # the benchmark's values wait here, so gap() runs evaluate
+
+            def heuristic(X):
+                h, b = self.evaluate(X)
+                bench.append(b.values)
+                return h.values
+
+            gaps = gap(X, heuristic, lambda _X: bench[0], mode=mode,
+                       sense=self.benchmark_sense)
+            return float(gaps[0]) if x.ndim == 1 else gaps
+
+        fn.batched = True
+        return fn
+
+    @cached_property
+    def _network(self):
+        if self.kind == "te":
+            return te_network(self.instance)
+        sized = sized_instance(self.instance, self.baseline_inputs())
+        return vbp_network(sized, n_bins=self.instance.n_balls)
+
+    def network(self):
+        """The flow network both sides share: for VBP, one bin per ball."""
+        return self._network
+
+    def edge_flows(self, X):
+        """(heuristic, benchmark) flows on `network()`'s edges, N x E each."""
+        net = self.network()
+        return tuple(project_edges(net, self.instance, X, side.decisions)
+                     for side in self.evaluate(X))
 
     def space(self):
         """The bounds as an analyzer search box, labelled per input."""

@@ -4,8 +4,8 @@ The pinning heuristic routes every demand at or below a threshold onto its
 designated shortest path (clamped to residual capacity), then solves a
 path-based max-flow over what remains. The benchmark solves the same
 path-based max-flow without pinning anything. `run_dp` and `optimal_te`
-take one demand vector; `dp_and_optimal_totals` routes a whole stack both
-ways, with the totals the two would give one vector at a time.
+take one demand vector; `Scenario.evaluate` routes a whole stack both ways
+through `_route`, with the flows the two would give one vector at a time.
 """
 
 from collections import OrderedDict
@@ -70,10 +70,13 @@ class FlowLayout(NamedTuple):
     shortest_links: tuple   # per demand, its shortest path's links, hop order
     shortest_index: tuple   # per demand, the shortest path's place in `paths`
     capacities: np.ndarray  # per link
-    # (1 + demands) x (1 + most paths) columns, a zero column (one past the
-    # last) before and after each demand's own and in all of row 0: what
-    # `_totals` adds up
-    sum_grid: np.ndarray
+    # per edge of `networks.te_network`, in its order, the columns whose
+    # flows the edge carries, after and padded with a zero column (one past
+    # the last): each link's crossing columns, each demand's own (what it
+    # routes, for its unmet edge), and each path's column for its assign
+    # edge and once per traverse edge
+    edge_grid: np.ndarray
+    unmet_edges: np.ndarray  # per demand, the row of its unmet edge
 
 
 @dataclass(frozen=True)
@@ -120,17 +123,23 @@ class TeInstance:
                 for hop in dict.fromkeys(_path_links(path)):
                     crossing[index[hop]].append(j)
             demand_columns.append(tuple(cols))
-        zero = len(variables)
-        width = 1 + max((len(cols) for cols in demand_columns), default=0)
-        sum_grid = np.full((1 + len(demand_columns), width), zero, dtype=np.intp)
-        for k, cols in enumerate(demand_columns):
-            sum_grid[1 + k, 1:1 + len(cols)] = cols
+        edges, unmet = list(crossing), []
+        for dem, cols in zip(self.demands, demand_columns):
+            unmet.append(len(edges))
+            edges.append(cols)
+            for j, path in zip(cols, dem.paths):
+                edges += [[j]] * (1 + len(_path_links(path)))
+        grid = np.full((len(edges), 1 + max(map(len, edges), default=0)),
+                       len(variables), dtype=np.intp)
+        for e, cols in enumerate(edges):
+            grid[e, 1:1 + len(cols)] = cols
         return FlowLayout(
             tuple(variables), tuple(demand_columns), tuple(map(tuple, crossing)),
             tuple(tuple(index[hop] for hop in _path_links(dem.shortest))
                   for dem in self.demands),
             tuple(dem.paths.index(dem.shortest) for dem in self.demands),
-            np.array([l.capacity for l in self.links], dtype=float), sum_grid)
+            np.array([l.capacity for l in self.links], dtype=float),
+            grid, np.array(unmet, dtype=np.intp))
 
     @cached_property
     def _max_flow_lps(self):
@@ -335,12 +344,13 @@ def _route(inst, D, pins):
 def _totals(inst, flows):
     """Σ of each row of `_route`'s flows as TeAllocation.total adds it up.
 
-    That is from 0, per demand in path order, then over the demands in
-    order from 0; cumsum adds in order, and the layout's sum grid puts the
-    zeros in from the flows' zero column.
+    That is from 0, per demand in path order (its unmet edge's row of the
+    layout's edge grid), then over the demands in order from 0; cumsum
+    adds in order.
     """
-    padded = flows[:, inst.flow_layout.sum_grid]
-    return np.cumsum(np.cumsum(padded, axis=2)[:, :, -1], axis=1)[:, -1]
+    lay = inst.flow_layout
+    routed = np.cumsum(flows[:, lay.edge_grid[lay.unmet_edges]], axis=2)[:, :, -1]
+    return np.cumsum(np.hstack([np.zeros((len(flows), 1)), routed]), axis=1)[:, -1]
 
 
 def _allocation(inst, d, pin):
@@ -362,18 +372,3 @@ def run_dp(inst, d):
 def optimal_te(inst, d):
     """Benchmark: path-based multicommodity max flow, no pinning."""
     return _allocation(inst, d, pin=False)
-
-
-def dp_and_optimal_totals(inst, D):
-    """Routed totals of `run_dp` and of `optimal_te` for each row of an N x n stack.
-
-    Bit for bit what calling run_dp and then optimal_te on each row in turn
-    would give, and with the same LP work.
-    """
-    D = _checked_demands(inst, D, 2)
-    dp, opt = np.empty(len(D)), np.empty(len(D))
-    for start in range(0, len(D), ROUTE_ROWS):
-        rows = slice(start, start + ROUTE_ROWS)
-        flows = _route(inst, D[rows], (True, False))
-        dp[rows], opt[rows] = _totals(inst, flows[0]), _totals(inst, flows[1])
-    return dp, opt

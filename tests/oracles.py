@@ -3,7 +3,9 @@
 These deliberately share no code with the package: the LP oracle enumerates
 constraint-intersection vertices, the MILP oracle enumerates binary patterns
 on top of it, the Wilcoxon oracle enumerates sign patterns literally, and
-the Kendall oracle enumerates every permutation of the gaps.
+the Kendall oracle enumerates every permutation of the gaps. The edge
+oracles project one allocation onto its network's edges by id, and tally a
+heatmap one sample and one edge at a time.
 """
 
 import itertools
@@ -209,3 +211,59 @@ def bin_packing_oracle(sizes, capacity=1.0):
             bins[have[better]] = nb[better]
             load[have[better]] = nl[better]
     return int(bins[full - 1])
+
+
+def te_edge_flows(inst, demands, path_flows):
+    """Edge id -> flow of one TE routing, path by path in demand order.
+
+    `path_flows` holds, per demand, the flow on each of its paths.
+    """
+    flows = {}
+    for link in inst.links:
+        flows[f"met:{link.src}->{link.dst}"] = 0.0
+    for k, dem in enumerate(inst.demands):
+        routed = 0.0
+        for path, f in zip(dem.paths, path_flows[k]):
+            pid = "-".join(path)
+            routed += f
+            flows[f"assign:{dem.key}:{pid}"] = 0.0 + f
+            for u, v in zip(path, path[1:]):
+                flows[f"traverse:{pid}:{u}->{v}"] = 0.0 + f
+                flows[f"met:{u}->{v}"] += f
+        flows[f"unmet:{dem.key}"] = max(0.0, float(demands[k]) - routed)
+    return flows
+
+
+def vbp_edge_flows(sizes, assignment, n_bins):
+    """Edge id -> flow of one packing into `n_bins` bins, ball by ball."""
+    flows = {f"occupied:{j}": 0.0 for j in range(n_bins)}
+    for i, size in enumerate(sizes):
+        for j in range(n_bins):
+            flows[f"place:{i}:{j}"] = 0.0
+        flows[f"place:{i}:{assignment[i]}"] = size
+        flows[f"occupied:{assignment[i]}"] += size
+    return flows
+
+
+def edge_tally(edge_ids, samples, eps=1e-9):
+    """Edge id -> (both, benchmark only, heuristic only, neither, mean |delta|).
+
+    `samples` is a list of (heuristic, benchmark) edge id -> flow mappings;
+    an edge sends flow when its flow exceeds eps.
+    """
+    out = {}
+    for eid in edge_ids:
+        both = bench = heur = 0
+        delta = 0.0
+        for hflow, bflow in samples:
+            h, b = hflow[eid], bflow[eid]
+            if h > eps and b > eps:
+                both += 1
+            elif b > eps:
+                bench += 1
+            elif h > eps:
+                heur += 1
+            delta += abs(b - h)
+        n = len(samples)
+        out[eid] = (both, bench, heur, n - both - bench - heur, delta / n)
+    return out

@@ -15,7 +15,7 @@ from oracles import lp_oracle, wilcoxon_oracle
 
 from xplain.analyzer import InputSpace, membership
 from xplain.bridge import Milp, encode_milp, milp_to_program
-from xplain.explain import scenario_evaluators, score_edges
+from xplain.explain import score_edges
 from xplain.flow import evaluate
 from xplain.generalize import (
     InstanceFamily,
@@ -25,8 +25,6 @@ from xplain.generalize import (
 )
 from xplain.heuristics import (
     builtin,
-    dp_gap_fn,
-    ff_gap_fn,
     optimal_te,
     optimal_vbp,
     run_dp,
@@ -63,8 +61,8 @@ def test_criterion_01_fig1a_numbers(capsys):
     t0 = time.perf_counter()
     dp = run_dp(sc.instance, FIG1A_DEMANDS).total
     opt = optimal_te(sc.instance, FIG1A_DEMANDS).total
-    gap_abs = dp_gap_fn(sc.instance, mode="absolute")(FIG1A_DEMANDS)
-    gap_rel = dp_gap_fn(sc.instance, mode="relative")(FIG1A_DEMANDS)
+    gap_abs = sc.gap_fn("absolute")(FIG1A_DEMANDS)
+    gap_rel = sc.gap_fn("relative")(FIG1A_DEMANDS)
     elapsed = time.perf_counter() - t0
     ok = (abs(dp - 150.0) <= 1e-9 and abs(opt - 250.0) <= 1e-9
           and abs(gap_abs - 100.0) <= 1e-9 and abs(gap_rel - 0.40) <= 1e-9
@@ -243,7 +241,7 @@ def test_criterion_08_ff_pipeline_end_to_end(capsys):
 
 def test_criterion_09_explainer_signs_stable(capsys):
     sc = builtin("fig1a_dp")
-    net, heuristic_eval, benchmark_eval = scenario_evaluators(sc)
+    net = sc.network()
     sub = Subspace.box([100, 40, 0, 0, 100, 0, 0, 0],
                        [100, 50, 0, 0, 100, 0, 0, 0], labels=sc.labels())
     detour = ("met:1->4", "met:4->5", "met:5->3")
@@ -251,7 +249,7 @@ def test_criterion_09_explainer_signs_stable(capsys):
     baseline = None
     ok = True
     for seed in range(5):
-        hm = score_edges(net, heuristic_eval, benchmark_eval, sub,
+        hm = score_edges(net, sc.edge_flows, sub,
                          space=sc.space(), n_samples=3000, seed=seed)
         signs = {eid: np.sign(m) for eid, m in hm.means().items()}
         ok = ok and all(signs[e] > 0 for e in detour) and signs[pinned] < 0

@@ -13,7 +13,7 @@ from xplain.analyzer import (
     find_adversarial,
     membership,
 )
-from xplain.heuristics import VbpInstance, builtin, ff_gap_fn
+from xplain.heuristics import Scenario, VbpInstance, builtin
 
 
 def box_region(lo, hi):
@@ -142,7 +142,8 @@ def test_first_fit_four_ball_space_has_gap_of_one_bin():
 def test_single_ball_single_bin_has_no_gap():
     inst = VbpInstance(((0.5,),), None, 1.0)
     sp = InputSpace(((0.0, 1.0),))
-    res = find_adversarial(sp, ff_gap_fn(inst), budget=60, min_gap=1.0, seed=0)
+    gap_fn = Scenario("one-ball", "vbp", inst, sp.bounds).gap_fn()
+    res = find_adversarial(sp, gap_fn, budget=60, min_gap=1.0, seed=0)
     assert isinstance(res, NotFound)
     assert res.best_gap == 0.0
 

@@ -1,0 +1,60 @@
+"""What bench/tracer.py reaches into the package for, by name.
+
+The tracer wraps each (module, function) pair of its WRAPPED list, and its
+layer cases capture the programs that optimal_te and optimal_vbp hand to
+the solver by patching xplain.solver; these tests keep those names working.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import xplain.solver
+from xplain.heuristics import builtin, optimal_te, optimal_vbp
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def wrapped_pairs():
+    """The (module, function) pairs of the tracer's WRAPPED list, read from its source."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["WRAPPED"]:
+            return [(row.elts[0].value, row.elts[1].value) for row in node.value.elts]
+    raise AssertionError("bench/tracer.py has no WRAPPED list")
+
+
+def test_every_wrapped_function_resolves():
+    pairs = wrapped_pairs()
+    assert ("xplain.heuristics.gap", "gap") in pairs
+    assert ("xplain.heuristics.networks", "project_allocation") in pairs
+    for module, name in pairs:
+        assert callable(getattr(importlib.import_module(module), name)), (module, name)
+
+
+class Captured(Exception):
+    pass
+
+
+def captures(solver_attr, call, monkeypatch):
+    """Whether `call` hands a program to xplain.solver.<solver_attr>."""
+    def grab(prog, *args, **kwargs):
+        raise Captured(prog)
+
+    monkeypatch.setattr(xplain.solver, solver_attr, grab)
+    with pytest.raises(Captured) as got:
+        call()
+    return isinstance(got.value.args[0], xplain.solver.ConstraintProgram)
+
+
+def test_optimal_te_reaches_solve_lp(monkeypatch):
+    te = builtin("fig1a_dp")
+    mid = [(lo + hi) / 2 for lo, hi in te.bounds]
+    assert captures("solve_lp", lambda: optimal_te(te.instance, mid), monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["ff4", "fig3_ff17"])
+def test_optimal_vbp_reaches_solve_mip(name, monkeypatch):
+    inst = builtin(name).instance
+    assert captures("solve_mip", lambda: optimal_vbp(inst), monkeypatch)

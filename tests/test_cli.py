@@ -79,6 +79,21 @@ def test_run_heuristic_needs_one_bin_type(tmp_path, capsys):
     assert code == 0 and out == "FF 2\nOPT 2\n"
 
 
+def test_run_heuristic_negative_demand_is_config_error(tmp_path, capsys, caplog):
+    cfg = write_config(tmp_path, "c.json",
+                       {"scenario": "fig1a_dp", "inputs": [100, -1, 0, 0, 100, 0, 0, 0]})
+    code, out = run_cli(capsys, "run-heuristic", "--config", cfg, "--seed", "1")
+    assert code == 1 and out == ""
+    assert "config error: demands must be nonnegative" in caplog.text
+
+
+def test_run_heuristic_oversized_ball_is_config_error(tmp_path, capsys, caplog):
+    cfg = write_config(tmp_path, "c.json", {"scenario": "ff4", "inputs": [1.5, 0.1, 0.1, 0.1]})
+    code, out = run_cli(capsys, "run-heuristic", "--config", cfg, "--seed", "1")
+    assert code == 1 and out == ""
+    assert "config error: ball 0 fits in no bin" in caplog.text
+
+
 # analyze
 
 def test_analyze_finds_ff_gap(tmp_path, capsys):

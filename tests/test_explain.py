@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from oracles import edge_tally, te_edge_flows, vbp_edge_flows
 
 from xplain.analyzer import InputSpace
 from xplain.explain import (
@@ -14,28 +15,56 @@ from xplain.explain import (
     emit_dot,
     emit_json,
     heatmap_from_json,
-    scenario_evaluators,
     score_edges,
 )
-from xplain.heuristics import builtin, vbp_network, VbpInstance
+from xplain.heuristics import (
+    VbpInstance,
+    builtin,
+    min_bins,
+    optimal_te,
+    run_dp,
+    run_ff,
+    sized_instance,
+    vbp_network,
+)
+from xplain.rng import substream
+from xplain.sampling import sample_region
 from xplain.subspaces import Subspace
+
+
+def heuristic_twice(evaluate):
+    """The heuristic's flows on both sides."""
+    def twice(X):
+        H, _ = evaluate(X)
+        return H, H
+    return twice
+
+
+def swapped(evaluate):
+    return lambda X: evaluate(X)[::-1]
+
+
+def stub(net, heuristic, benchmark):
+    """Fixed edge id -> flow mappings for every sample, as evaluate's arrays."""
+    def rows(flows, n):
+        return np.array([[flows.get(e.id, 0.0) for e in net.edges]] * n)
+    return lambda X: (rows(heuristic, len(X)), rows(benchmark, len(X)))
 
 
 @pytest.fixture(scope="module")
 def fig1a():
     sc = builtin("fig1a_dp")
-    net, hev, bev = scenario_evaluators(sc)
-    return sc, net, hev, bev
+    return sc, sc.network(), sc.edge_flows
 
 
 @pytest.fixture(scope="module")
 def pinnable(fig1a):
     # demand 1->3 stays pinnable (rate <= 50) while 1->2 and 2->3 are full
-    sc, net, hev, bev = fig1a
+    sc, net, ev = fig1a
     lo = [100, 40, 0, 0, 100, 0, 0, 0]
     hi = [100, 50, 0, 0, 100, 0, 0, 0]
     sub = Subspace.box(lo, hi, labels=sc.labels())
-    hm = score_edges(net, hev, bev, sub, space=sc.space(), n_samples=400, seed=11)
+    hm = score_edges(net, ev, sub, space=sc.space(), n_samples=400, seed=11)
     return sub, hm
 
 
@@ -63,9 +92,9 @@ def test_counts_sum_and_mean_formula(pinnable):
 
 
 def test_identical_evaluators_score_zero(fig1a):
-    sc, net, hev, _ = fig1a
+    sc, net, ev = fig1a
     sub = Subspace.box([0] * 8, [60] * 8, labels=sc.labels())
-    hm = score_edges(net, hev, hev, sub, space=sc.space(), n_samples=50, seed=1)
+    hm = score_edges(net, heuristic_twice(ev), sub, space=sc.space(), n_samples=50, seed=1)
     assert all(m == 0.0 for m in hm.means().values())
     for es in hm.scores.values():
         assert es.benchmark_only == 0 and es.heuristic_only == 0
@@ -73,10 +102,10 @@ def test_identical_evaluators_score_zero(fig1a):
 
 
 def test_swapping_evaluators_negates_means(fig1a):
-    sc, net, hev, bev = fig1a
+    sc, net, ev = fig1a
     sub = Subspace.box([0] * 8, [80] * 8, labels=sc.labels())
-    fwd = score_edges(net, hev, bev, sub, space=sc.space(), n_samples=120, seed=5)
-    rev = score_edges(net, bev, hev, sub, space=sc.space(), n_samples=120, seed=5)
+    fwd = score_edges(net, ev, sub, space=sc.space(), n_samples=120, seed=5)
+    rev = score_edges(net, swapped(ev), sub, space=sc.space(), n_samples=120, seed=5)
     for eid in fwd.scores:
         assert rev.mean(eid) == -fwd.mean(eid)
         assert rev.scores[eid].mean_abs_flow_delta == fwd.scores[eid].mean_abs_flow_delta
@@ -87,11 +116,11 @@ def test_single_sample_hand_trace():
     # one sample; stub solvers disagree on where ball 0 goes
     inst = VbpInstance(((0.6,), (0.4,)), None, 1.0)
     net = vbp_network(inst, n_bins=2)
-    heuristic = lambda x: {"place:0:0": 0.6, "occupied:0": 0.6}
-    benchmark = lambda x: {"place:0:1": 0.6, "occupied:1": 0.6}
+    evaluate = stub(net, {"place:0:0": 0.6, "occupied:0": 0.6},
+                    {"place:0:1": 0.6, "occupied:1": 0.6})
     sub = Subspace.box([0.0], [1.0])
     space = InputSpace(((0.0, 1.0),))
-    hm = score_edges(net, heuristic, benchmark, sub, space=space, n_samples=1, seed=0)
+    hm = score_edges(net, evaluate, sub, space=space, n_samples=1, seed=0)
     assert hm.mean("place:0:0") == -1.0
     assert hm.mean("place:0:1") == 1.0
     assert hm.mean("place:1:0") == 0.0
@@ -102,27 +131,29 @@ def test_single_sample_hand_trace():
 def test_flow_threshold_is_strict():
     inst = VbpInstance(((0.5,),), None, 1.0)
     net = vbp_network(inst, n_bins=1)
-    tiny = lambda x: {"place:0:0": EPS_FLOW / 2, "occupied:0": EPS_FLOW / 2}
-    real = lambda x: {"place:0:0": 0.5, "occupied:0": 0.5}
+    evaluate = stub(net, {"place:0:0": EPS_FLOW / 2, "occupied:0": EPS_FLOW / 2},
+                    {"place:0:0": 0.5, "occupied:0": 0.5})
     sub = Subspace.box([0.0], [1.0])
     space = InputSpace(((0.0, 1.0),))
-    hm = score_edges(net, tiny, real, sub, space=space, n_samples=1, seed=0)
+    hm = score_edges(net, evaluate, sub, space=space, n_samples=1, seed=0)
     # sub-threshold flow counts as "no flow"
     assert hm.mean("place:0:0") == 1.0
+    at = stub(net, {"place:0:0": EPS_FLOW}, {"place:0:0": 0.5})
+    assert score_edges(net, at, sub, space=space, n_samples=1, seed=0).mean("place:0:0") == 1.0
 
 
 def test_determinism_per_seed(fig1a):
-    sc, net, hev, bev = fig1a
+    sc, net, ev = fig1a
     sub = Subspace.box([0] * 8, [70] * 8, labels=sc.labels())
-    a = score_edges(net, hev, bev, sub, space=sc.space(), n_samples=60, seed=42)
-    b = score_edges(net, hev, bev, sub, space=sc.space(), n_samples=60, seed=42)
+    a = score_edges(net, ev, sub, space=sc.space(), n_samples=60, seed=42)
+    b = score_edges(net, ev, sub, space=sc.space(), n_samples=60, seed=42)
     assert a.scores == b.scores
 
 
 def test_space_derived_from_box_rows(fig1a, pinnable):
-    sc, net, hev, bev = fig1a
+    sc, net, ev = fig1a
     sub, explicit = pinnable
-    derived = score_edges(net, hev, bev, sub, n_samples=100, seed=3)
+    derived = score_edges(net, ev, sub, n_samples=100, seed=3)
     # scores are constant over this region, so both samplings agree on signs
     for eid in explicit.scores:
         assert np.sign(derived.mean(eid)) == np.sign(explicit.mean(eid))
@@ -134,7 +165,46 @@ def test_unbounded_rows_need_explicit_space():
                    C=[1.0, 0.0, 1.0, 1.0], T=(), V=())
     net = vbp_network(VbpInstance(((0.5,), (0.5,)), None, 1.0), n_bins=2)
     with pytest.raises(ValueError):
-        score_edges(net, lambda x: {}, lambda x: {}, sub, n_samples=5, seed=0)
+        score_edges(net, stub(net, {}, {}), sub, n_samples=5, seed=0)
+
+
+@pytest.mark.parametrize("name, lo, hi, n", [
+    ("fig1a_dp", [0.0] * 8, [80.0] * 8, 150),
+    ("fig1a_dp", [100, 40, 0, 0, 100, 0, 0, 0], [100, 50, 0, 0, 100, 0, 0, 0], 80),
+    ("ff4", [0.0] * 4, [0.7] * 4, 150),
+])
+def test_score_edges_matches_the_per_sample_tally(name, lo, hi, n):
+    sc = builtin(name)
+    sub = Subspace.box(lo, hi, labels=sc.labels())
+    hm = score_edges(sc.network(), sc.edge_flows, sub, space=sc.space(), n_samples=n, seed=9)
+
+    # the same samples, one at a time through the one-row solvers on a
+    # fresh instance, projected and tallied by the oracles
+    inst = builtin(name).instance
+    samples = []
+    for x in sample_region(sub, sc.space(), n, substream(9, "explain", "samples")):
+        if sc.kind == "te":
+            samples.append(tuple(te_edge_flows(inst, x, alloc.flows)
+                                 for alloc in (run_dp(inst, x), optimal_te(inst, x))))
+        else:
+            sized = sized_instance(inst, x)
+            samples.append(tuple(vbp_edge_flows(x.tolist(), alloc.assignment, inst.n_balls)
+                                 for alloc in (run_ff(sized), min_bins(sized))))
+    expected = edge_tally([e.id for e in sc.network().edges], samples, eps=EPS_FLOW)
+    got = {eid: (s.both, s.benchmark_only, s.heuristic_only, s.neither, s.mean_abs_flow_delta)
+           for eid, s in hm.scores.items()}
+    assert list(got) == list(expected)
+    assert {eid: (*t[:4], t[4].hex()) for eid, t in got.items()} == \
+        {eid: (*t[:4], t[4].hex()) for eid, t in expected.items()}
+    assert any(t[1] or t[2] for t in expected.values())  # the two sides disagree somewhere
+
+
+def test_score_edges_checks_the_flow_shapes(fig1a):
+    sc, net, ev = fig1a
+    sub = Subspace.box([0] * 8, [60] * 8, labels=sc.labels())
+    with pytest.raises(ValueError, match="flows"):
+        score_edges(net, lambda X: (ev(X)[0][:, 1:], ev(X)[1]), sub, space=sc.space(),
+                    n_samples=5, seed=0)
 
 
 def test_heatmap_validates_counts():
@@ -166,7 +236,7 @@ def _check_dot_shape(dot, net):
 
 
 def test_dot_structure_and_colors(fig1a, pinnable):
-    _, net, _, _ = fig1a
+    _, net, _ = fig1a
     sub, hm = pinnable
     dot = emit_dot(hm, net)
     _check_dot_shape(dot, net)
@@ -179,23 +249,23 @@ def test_dot_structure_and_colors(fig1a, pinnable):
 
 
 def test_dot_all_zero_is_neutral_gray(fig1a):
-    sc, net, hev, _ = fig1a
+    sc, net, ev = fig1a
     sub = Subspace.box([0] * 8, [60] * 8, labels=sc.labels())
-    hm = score_edges(net, hev, hev, sub, space=sc.space(), n_samples=20, seed=2)
+    hm = score_edges(net, heuristic_twice(ev), sub, space=sc.space(), n_samples=20, seed=2)
     dot = emit_dot(hm, net)
     for line in _check_dot_shape(dot, net):
         assert '#c0c0c0' in line
 
 
 def test_dot_byte_stable(fig1a, pinnable):
-    _, net, _, _ = fig1a
+    _, net, _ = fig1a
     _, hm = pinnable
     assert emit_dot(hm, net) == emit_dot(hm, net)
     assert emit_dot(hm, net).encode() == emit_dot(hm, net).encode()
 
 
 def test_partial_intensity_interpolates(fig1a):
-    _, net, _, _ = fig1a
+    _, net, _ = fig1a
     eid = net.edges[0].id
     half = {e.id: EdgeScore(0, 0, 0, 4, 0.0) for e in net.edges}
     half[eid] = EdgeScore(both=0, benchmark_only=3, heuristic_only=1,
@@ -243,20 +313,19 @@ def test_json_is_valid_and_sorted(pinnable):
 
 def test_vbp_evaluators_cover_network():
     sc = builtin("ff4")
-    net, hev, bev = scenario_evaluators(sc)
-    x = (0.5, 0.5, 0.5, 0.5)
-    hf, bf = hev(x), bev(x)
-    ids = {e.id for e in net.edges}
-    assert set(hf) == ids and set(bf) == ids
+    net = sc.network()
+    H, B = sc.edge_flows(np.array([(0.5, 0.5, 0.5, 0.5)]))
+    assert H.shape == B.shape == (1, len(net.edges))
+    hf, bf = ({e.id: v for e, v in zip(net.edges, F[0])} for F in (H, B))
     placed = sum(v for k, v in hf.items() if k.startswith("place:"))
     assert placed == pytest.approx(2.0)
     assert sum(v for k, v in bf.items() if k.startswith("occupied:")) == pytest.approx(2.0)
 
 
 def test_te_evaluators_conserve_totals(fig1a):
-    sc, net, hev, bev = fig1a
-    x = (50,) * 8
-    hf, bf = hev(x), bev(x)
+    sc, net, ev = fig1a
+    H, B = ev(np.array([(50,) * 8]))
+    hf, bf = ({e.id: v for e, v in zip(net.edges, F[0])} for F in (H, B))
     met_h = sum(v for k, v in hf.items() if k.startswith("met:"))
     met_b = sum(v for k, v in bf.items() if k.startswith("met:"))
     assert met_b >= met_h  # benchmark never routes less in total

@@ -1,18 +1,17 @@
 """Problem families: pinning and first-fit against their benchmarks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import bin_packing_oracle
+from oracles import bin_packing_oracle, te_edge_flows, vbp_edge_flows
 from xplain.flow import Pick, Sink, Source, Split, assignment_violations, evaluate, validate
 from xplain.heuristics import (
     VbpInstance,
     builtin,
     demand_node,
-    dp_gap_fn,
-    ff_gap_fn,
     gap,
     k_shortest_paths,
     load_scenario,
@@ -21,11 +20,13 @@ from xplain.heuristics import (
     optimal_te,
     optimal_vbp,
     project_allocation,
+    project_edges,
     run_dp,
     run_ff,
     save_scenario,
     sized_instance,
-    to_flow_network,
+    te_network,
+    vbp_network,
     Unplaceable,
 )
 from xplain import solver
@@ -247,6 +248,11 @@ def _fresh(inst):
     return type(inst)(inst.nodes, inst.links, inst.demands, inst.threshold)
 
 
+def _fresh_scenario(sc):
+    """A copy of a TE scenario whose instance has no stored max-flow LPs."""
+    return replace(sc, instance=_fresh(sc.instance))
+
+
 def _bits(values):
     return [float(v).hex() for v in values]
 
@@ -275,7 +281,7 @@ def test_te_gap_of_a_stack_is_the_gaps_of_its_rows(mode):
     rng = np.random.default_rng(2024)
     for sc in generate_instances(line):
         X = np.array(_te_demand_vectors(sc.instance, rng, 60))
-        work = _stack_matches_rows(lambda: dp_gap_fn(_fresh(sc.instance), mode), X)
+        work = _stack_matches_rows(lambda: _fresh_scenario(sc).gap_fn(mode), X)
         assert work.lp_warm > 0 and work.lp_cold > 0
 
 
@@ -292,7 +298,7 @@ def test_fig1a_gap_of_a_stack_crosses_the_pinned_set_bound(fig1a, mode):
     assert len(X) > te.ROUTE_ROWS
     X[::7, 2] = inst.threshold
     assert len({tuple(row <= inst.threshold) for row in X}) > 2 * te.MAX_PINNED_SETS
-    work = _stack_matches_rows(lambda: dp_gap_fn(_fresh(inst), mode), X)
+    work = _stack_matches_rows(lambda: _fresh_scenario(fig1a).gap_fn(mode), X)
     assert work.lp_cold > te.MAX_PINNED_SETS and work.lp_warm > 0
 
 
@@ -301,12 +307,12 @@ def test_ff4_gap_of_a_stack_is_the_gaps_of_its_rows():
     lo, hi = np.array(sc.bounds).T
     X = lo + np.random.default_rng(5).random((40, 4)) * (hi - lo)
     X[::5] = [s[0] for s in sc.instance.sizes]
-    _stack_matches_rows(lambda: ff_gap_fn(sc.instance), X)
+    _stack_matches_rows(lambda: sc.gap_fn(), X)
 
 
 def test_te_gap_checks_every_row_before_it_routes_any(fig1a):
     inst = _fresh(fig1a.instance)
-    fn = dp_gap_fn(inst)
+    fn = replace(fig1a, instance=inst).gap_fn()
     good = np.random.default_rng(3).uniform(0.0, 100.0, size=(4, 8))
     fn(good)
     kept = {key: (mf.lp, list(mf.lp._order)) for key, mf in inst._max_flow_lps.items()}
@@ -702,8 +708,8 @@ def test_sized_instance_pools_the_one_bin_type():
 
 def test_gap_dp_paper_numbers(fig1a):
     d = paper_demands(fig1a)
-    assert dp_gap_fn(fig1a.instance)(d) == pytest.approx(100.0)
-    assert dp_gap_fn(fig1a.instance, "relative")(d) == pytest.approx(0.4)
+    assert fig1a.gap_fn()(d) == pytest.approx(100.0)
+    assert fig1a.gap_fn("relative")(d) == pytest.approx(0.4)
 
 
 def test_gap_identical_functions_zero():
@@ -715,8 +721,8 @@ def test_gap_identical_functions_zero():
 def test_gap_ff_four_balls():
     sc = builtin("ff4")
     sizes = [s[0] for s in sc.instance.sizes]
-    assert ff_gap_fn(sc.instance)(sizes) == pytest.approx(1.0)
-    assert ff_gap_fn(sc.instance, "relative")(sizes) == pytest.approx(0.5)
+    assert sc.gap_fn()(sizes) == pytest.approx(1.0)
+    assert sc.gap_fn("relative")(sizes) == pytest.approx(0.5)
 
 
 def test_gap_orientation_by_sense():
@@ -733,7 +739,7 @@ def test_gap_orientation_by_sense():
 # --- network views ----------------------------------------------------------
 
 def test_te_network_matches_figure_layout(fig1a):
-    net = to_flow_network(fig1a.instance, "opt_te")
+    net = te_network(fig1a.instance)
     assert validate(net) == []
     roles = {}
     for nid, beh in net.nodes.items():
@@ -752,7 +758,7 @@ def test_te_network_matches_figure_layout(fig1a):
 
 
 def test_te_network_routes_250(fig1a):
-    net = to_flow_network(fig1a.instance, "opt_te")
+    net = te_network(fig1a.instance)
     d = paper_demands(fig1a)
     inputs = {demand_node(dem): float(d[k])
               for k, dem in enumerate(fig1a.instance.demands)}
@@ -763,14 +769,14 @@ def test_te_network_routes_250(fig1a):
 
 def test_te_network_zero_demands_is_empty_shell():
     inst = make_instance(["a", "b"], [("a", "b", 1.0)], [], 0.0)
-    net = to_flow_network(inst, "dp")
+    net = te_network(inst)
     assert validate(net) == []
     assert not [n for n, m in net.node_metadata.items() if m["role"] == "demand"]
 
 
 def test_vbp_network_matches_figure_layout():
     sc = builtin("ff4")
-    net = to_flow_network(sc.instance, "ff")
+    net = vbp_network(sc.instance)
     assert validate(net) == []
     balls = [b for b in net.nodes.values()
              if isinstance(b, Source) and isinstance(b.inner, Pick)]
@@ -784,21 +790,26 @@ def test_vbp_network_matches_figure_layout():
 def test_vbp_network_needs_bin_count_when_unbounded():
     sc = builtin("fig3_ff17")
     with pytest.raises(ValueError):
-        to_flow_network(sc.instance, "ff")
-    net = to_flow_network(sc.instance, "ff", n_bins=9)
+        vbp_network(sc.instance)
+    net = vbp_network(sc.instance, n_bins=9)
     assert validate(net) == []
 
 
-def test_unknown_model_rejected(fig1a):
-    with pytest.raises(ValueError):
-        to_flow_network(fig1a.instance, "simulated_annealing")
+def test_scenario_network_is_built_once():
+    fig1a, ff4 = builtin("fig1a_dp"), builtin("ff4")
+    assert fig1a.network() is fig1a.network()
+    assert [e.id for e in fig1a.network().edges] == [e.id for e in te_network(fig1a.instance).edges]
+    # one bin per ball, so every packing of the size box fits
+    sized = sized_instance(ff4.instance, ff4.baseline_inputs())
+    assert [e.id for e in ff4.network().edges] == [e.id for e in vbp_network(sized, n_bins=4).edges]
+    assert validate(ff4.network()) == []
 
 
 # --- projection -------------------------------------------------------------
 
 def test_project_dp_puts_50_on_short_path(fig1a):
     inst = fig1a.instance
-    net = to_flow_network(inst, "dp")
+    net = te_network(inst)
     d = paper_demands(fig1a)
     flows = project_allocation(run_dp(inst, d), net, inst)
     assert flows["assign:1->3:1-2-3"] == pytest.approx(50.0)
@@ -810,7 +821,7 @@ def test_project_dp_puts_50_on_short_path(fig1a):
 
 def test_project_opt_uses_detour(fig1a):
     inst = fig1a.instance
-    net = to_flow_network(inst, "opt_te")
+    net = te_network(inst)
     flows = project_allocation(optimal_te(inst, paper_demands(fig1a)), net, inst)
     assert flows["assign:1->3:1-4-5-3"] == pytest.approx(50.0)
     assert flows["unmet:1->3"] == pytest.approx(0.0)
@@ -819,7 +830,7 @@ def test_project_opt_uses_detour(fig1a):
 
 def test_project_empty_allocation_is_all_zero(fig1a):
     inst = fig1a.instance
-    net = to_flow_network(inst, "dp")
+    net = te_network(inst)
     flows = project_allocation(run_dp(inst, np.zeros(8)), net, inst)
     assert set(flows) == {e.id for e in net.edges}
     assert all(v == 0.0 for v in flows.values())
@@ -827,13 +838,66 @@ def test_project_empty_allocation_is_all_zero(fig1a):
 
 def test_project_ff_trace():
     sc = builtin("ff4")
-    net = to_flow_network(sc.instance, "ff")
+    net = vbp_network(sc.instance)
     alloc = run_ff(sc.instance)
     flows = project_allocation(alloc, net, sc.instance)
     positive = sorted(k for k, v in flows.items()
                       if v > 1e-9 and k.startswith("place"))
     assert positive == ["place:0:0", "place:1:0", "place:2:1", "place:3:2"]
     assert assignment_violations(net, flows) == []
+
+
+def _seam_cases():
+    line = InstanceFamily("te-line", count=3, size_range=(4, 6), seed=fold(7, "generalize", "family"))
+    rng = np.random.default_rng(606)
+    fig1a = builtin("fig1a_dp")
+    te_line = generate_instances(line)[2]
+    ff4 = builtin("ff4")
+    lo, hi = np.array(ff4.bounds).T
+    X = lo + rng.random((60, 4)) * (hi - lo)
+    X[::5] = [s[0] for s in ff4.instance.sizes]
+    X[1::7] = 0.0
+    return [(fig1a, np.array(_te_demand_vectors(fig1a.instance, rng, 90))),
+            (te_line, np.array(_te_demand_vectors(te_line.instance, rng, 60))),
+            (ff4, X)]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["fig1a_dp", "te-line", "ff4"])
+def test_evaluate_and_projection_match_the_per_row_path(case):
+    # the batch seam against the one-row solvers, run row by row on a fresh
+    # instance in the same order, each row projected by project_allocation
+    # and by the oracle
+    sc, X = _seam_cases()[case]
+    seam, ref = (_fresh_scenario(sc) if sc.kind == "te" else sc for _ in range(2))
+    net = seam.network()
+    ids = [e.id for e in net.edges]
+    with counting() as seam_work:
+        outcomes = seam.evaluate(X)
+        flows = [project_edges(net, seam.instance, X, side.decisions) for side in outcomes]
+    inst, rows = ref.instance, []
+    with counting() as row_work:
+        for x in X:
+            if sc.kind == "te":
+                rows.append((run_dp(inst, x), optimal_te(inst, x)))
+            else:
+                sized = sized_instance(inst, x)
+                rows.append((run_ff(sized), min_bins(sized), sized))
+    assert seam_work == row_work
+    assert seam_work.lp_cold + seam_work.vbp_bound > 0
+    for side in range(2):
+        allocs = [row[side] for row in rows]
+        values = [a.total if sc.kind == "te" else a.bins_used for a in allocs]
+        assert _bits(outcomes[side].values) == _bits(values)
+        for i, alloc in enumerate(allocs):
+            if sc.kind == "te":
+                one = project_allocation(alloc, net, inst)
+                oracle = te_edge_flows(inst, X[i], alloc.flows)
+            else:
+                one = project_allocation(alloc, net, rows[i][2])
+                oracle = vbp_edge_flows(X[i].tolist(), alloc.assignment, inst.n_balls)
+            assert _bits(flows[side][i]) == _bits(one[e] for e in ids) == _bits(oracle[e] for e in ids)
+    assert flows[0].shape == (len(X), len(ids))
+    assert not np.array_equal(flows[0], flows[1])  # the heuristic loses somewhere
 
 
 # --- path generation --------------------------------------------------------

@@ -156,14 +156,15 @@ FIG1A_SEED7_SUBSPACE = SimpleNamespace(
 
 
 def test_fig1a_significance_ignores_float_noise_in_the_gaps():
+    from dataclasses import replace
+
     from xplain.heuristics import builtin
-    from xplain.heuristics.gap import dp_gap_fn
     from xplain.rng import fold
 
     sc = builtin("fig1a_dp")
     inst, space = sc.instance, sc.space()
-    warm = dp_gap_fn(type(inst)(inst.nodes, inst.links, inst.demands, inst.threshold),
-                     "relative")
+    warm = replace(sc, instance=type(inst)(inst.nodes, inst.links, inst.demands,
+                                           inst.threshold)).gap_fn("relative")
     rng = np.random.default_rng(13)
 
     def noisy(x):
@@ -171,7 +172,7 @@ def test_fig1a_significance_ignores_float_noise_in_the_gaps():
 
     def cold(x):  # a fresh instance per call keeps no basis
         fresh = type(inst)(inst.nodes, inst.links, inst.demands, inst.threshold)
-        return dp_gap_fn(fresh, "relative")(x)
+        return replace(sc, instance=fresh).gap_fn("relative")(x)
 
     seed = fold(7, "significance", 0)
     reports = [check_significance(FIG1A_SEED7_SUBSPACE, fn, space, seed=seed)
