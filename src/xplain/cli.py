@@ -325,7 +325,7 @@ def cmd_explain(cfg, args):
     if not isinstance(n_samples, int) or n_samples < 1:
         raise ConfigError("explainer.n_samples must be a positive integer")
 
-    net = sc.network()
+    net = sc.network
     try:
         hm = score_edges(net, sc.edge_flows, subs[index], space=sc.space(),
                          n_samples=n_samples, seed=args.seed)

@@ -12,7 +12,6 @@ from .networks import (
 )
 from .scenario import (
     BUILTIN,
-    Outcome,
     Scenario,
     builtin,
     load_scenario,
@@ -45,7 +44,7 @@ __all__ = [
     "EPS_DEN", "gap",
     "ball_node", "demand_node", "link_edge_id",
     "project_allocation", "project_edges", "te_network", "vbp_network",
-    "BUILTIN", "Outcome", "Scenario", "builtin", "load_scenario", "save_scenario",
+    "BUILTIN", "Scenario", "builtin", "load_scenario", "save_scenario",
     "scenario_from_dict", "scenario_to_dict",
     "Demand", "Link", "TeAllocation", "TeInstance", "all_simple_paths",
     "k_shortest_paths", "make_instance", "optimal_te", "run_dp",

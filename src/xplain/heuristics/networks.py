@@ -93,7 +93,10 @@ def project_edges(net, inst, X, decisions):
         lay = inst.flow_layout
         if len(lay.edge_grid) != len(net.edges):
             raise ValueError("the network is not the instance's te_network")
-        flows = np.cumsum(decisions[:, lay.edge_grid], axis=2)[:, :, -1]
+        # column by column as cumsum adds, N x E at a time whatever the width
+        flows = decisions[:, lay.edge_grid[:, 0]]
+        for w in range(1, lay.edge_grid.shape[1]):
+            flows += decisions[:, lay.edge_grid[:, w]]
         short = X - flows[:, lay.unmet_edges]
         flows[:, lay.unmet_edges] = np.where(short > 0.0, short, 0.0)
         return flows

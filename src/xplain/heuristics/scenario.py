@@ -129,21 +129,23 @@ class Scenario:
         return fn
 
     @cached_property
-    def _network(self):
+    def network(self):
+        """The flow network both sides share: for VBP, one bin per ball."""
         if self.kind == "te":
             return te_network(self.instance)
         sized = sized_instance(self.instance, self.baseline_inputs())
         return vbp_network(sized, n_bins=self.instance.n_balls)
 
-    def network(self):
-        """The flow network both sides share: for VBP, one bin per ball."""
-        return self._network
-
     def edge_flows(self, X):
-        """(heuristic, benchmark) flows on `network()`'s edges, N x E each."""
-        net = self.network()
-        return tuple(project_edges(net, self.instance, X, side.decisions)
-                     for side in self.evaluate(X))
+        """(heuristic, benchmark) flows on `network`'s edges, N x E each."""
+        X = np.asarray(X, dtype=float)
+        # row by row: as one stack, a traced fig1a_dp `explain` can end before
+        # bench/tracer.py's gauge takes its first sample, after 20 ms of CPU
+        # (ROADMAP item 1); evaluate(X) once the gauge is fixed
+        rows = [self.evaluate(x[None]) for x in X]
+        return tuple(project_edges(self.network, self.instance, X,
+                                   np.vstack([row[side].decisions for row in rows]))
+                     for side in (0, 1))
 
     def space(self):
         """The bounds as an analyzer search box, labelled per input."""

@@ -77,6 +77,7 @@ class FlowLayout(NamedTuple):
     # edge and once per traverse edge
     edge_grid: np.ndarray
     unmet_edges: np.ndarray  # per demand, the row of its unmet edge
+    sum_grid: np.ndarray  # a zero row, then edge_grid's unmet rows, 1 + most paths wide
 
 
 @dataclass(frozen=True)
@@ -133,13 +134,15 @@ class TeInstance:
                        len(variables), dtype=np.intp)
         for e, cols in enumerate(edges):
             grid[e, 1:1 + len(cols)] = cols
+        width = 1 + max(map(len, demand_columns), default=0)
+        sum_grid = np.vstack([np.full(width, len(variables)), grid[unmet, :width]])
         return FlowLayout(
             tuple(variables), tuple(demand_columns), tuple(map(tuple, crossing)),
             tuple(tuple(index[hop] for hop in _path_links(dem.shortest))
                   for dem in self.demands),
             tuple(dem.paths.index(dem.shortest) for dem in self.demands),
             np.array([l.capacity for l in self.links], dtype=float),
-            grid, np.array(unmet, dtype=np.intp))
+            grid, np.array(unmet, dtype=np.intp), sum_grid)
 
     @cached_property
     def _max_flow_lps(self):
@@ -344,13 +347,12 @@ def _route(inst, D, pins):
 def _totals(inst, flows):
     """Σ of each row of `_route`'s flows as TeAllocation.total adds it up.
 
-    That is from 0, per demand in path order (its unmet edge's row of the
-    layout's edge grid), then over the demands in order from 0; cumsum
-    adds in order.
+    That is from 0, per demand in path order, then over the demands in
+    order from 0; cumsum adds in order, and the layout's sum grid puts the
+    zeros in from the flows' zero column.
     """
-    lay = inst.flow_layout
-    routed = np.cumsum(flows[:, lay.edge_grid[lay.unmet_edges]], axis=2)[:, :, -1]
-    return np.cumsum(np.hstack([np.zeros((len(flows), 1)), routed]), axis=1)[:, -1]
+    padded = flows[:, inst.flow_layout.sum_grid]
+    return np.cumsum(np.cumsum(padded, axis=2)[:, :, -1], axis=1)[:, -1]
 
 
 def _allocation(inst, d, pin):

@@ -241,7 +241,7 @@ def test_criterion_08_ff_pipeline_end_to_end(capsys):
 
 def test_criterion_09_explainer_signs_stable(capsys):
     sc = builtin("fig1a_dp")
-    net = sc.network()
+    net = sc.network
     sub = Subspace.box([100, 40, 0, 0, 100, 0, 0, 0],
                        [100, 50, 0, 0, 100, 0, 0, 0], labels=sc.labels())
     detour = ("met:1->4", "met:4->5", "met:5->3")

@@ -54,7 +54,7 @@ def stub(net, heuristic, benchmark):
 @pytest.fixture(scope="module")
 def fig1a():
     sc = builtin("fig1a_dp")
-    return sc, sc.network(), sc.edge_flows
+    return sc, sc.network, sc.edge_flows
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +176,7 @@ def test_unbounded_rows_need_explicit_space():
 def test_score_edges_matches_the_per_sample_tally(name, lo, hi, n):
     sc = builtin(name)
     sub = Subspace.box(lo, hi, labels=sc.labels())
-    hm = score_edges(sc.network(), sc.edge_flows, sub, space=sc.space(), n_samples=n, seed=9)
+    hm = score_edges(sc.network, sc.edge_flows, sub, space=sc.space(), n_samples=n, seed=9)
 
     # the same samples, one at a time through the one-row solvers on a
     # fresh instance, projected and tallied by the oracles
@@ -190,7 +190,7 @@ def test_score_edges_matches_the_per_sample_tally(name, lo, hi, n):
             sized = sized_instance(inst, x)
             samples.append(tuple(vbp_edge_flows(x.tolist(), alloc.assignment, inst.n_balls)
                                  for alloc in (run_ff(sized), min_bins(sized))))
-    expected = edge_tally([e.id for e in sc.network().edges], samples, eps=EPS_FLOW)
+    expected = edge_tally([e.id for e in sc.network.edges], samples, eps=EPS_FLOW)
     got = {eid: (s.both, s.benchmark_only, s.heuristic_only, s.neither, s.mean_abs_flow_delta)
            for eid, s in hm.scores.items()}
     assert list(got) == list(expected)
@@ -313,7 +313,7 @@ def test_json_is_valid_and_sorted(pinnable):
 
 def test_vbp_evaluators_cover_network():
     sc = builtin("ff4")
-    net = sc.network()
+    net = sc.network
     H, B = sc.edge_flows(np.array([(0.5, 0.5, 0.5, 0.5)]))
     assert H.shape == B.shape == (1, len(net.edges))
     hf, bf = ({e.id: v for e, v in zip(net.edges, F[0])} for F in (H, B))

@@ -24,6 +24,7 @@ from xplain.heuristics import (
     run_dp,
     run_ff,
     save_scenario,
+    scenario_from_dict,
     sized_instance,
     te_network,
     vbp_network,
@@ -797,12 +798,12 @@ def test_vbp_network_needs_bin_count_when_unbounded():
 
 def test_scenario_network_is_built_once():
     fig1a, ff4 = builtin("fig1a_dp"), builtin("ff4")
-    assert fig1a.network() is fig1a.network()
-    assert [e.id for e in fig1a.network().edges] == [e.id for e in te_network(fig1a.instance).edges]
+    assert fig1a.network is fig1a.network
+    assert [e.id for e in fig1a.network.edges] == [e.id for e in te_network(fig1a.instance).edges]
     # one bin per ball, so every packing of the size box fits
     sized = sized_instance(ff4.instance, ff4.baseline_inputs())
-    assert [e.id for e in ff4.network().edges] == [e.id for e in vbp_network(sized, n_bins=4).edges]
-    assert validate(ff4.network()) == []
+    assert [e.id for e in ff4.network.edges] == [e.id for e in vbp_network(sized, n_bins=4).edges]
+    assert validate(ff4.network) == []
 
 
 # --- projection -------------------------------------------------------------
@@ -847,11 +848,26 @@ def test_project_ff_trace():
     assert assignment_violations(net, flows) == []
 
 
+def _wide_link_scenario(n=48):
+    """n demands a_i -> t, each over a_i -> h -> t or a_i -> g -> t.
+
+    So h -> t and g -> t each carry n paths, while no demand has more than 2.
+    """
+    sources = [f"a{i}" for i in range(n)]
+    links = [{"src": a, "dst": m, "capacity": 4.0} for a in sources for m in "hg"]
+    links += [{"src": m, "dst": "t", "capacity": 30.0} for m in "hg"]
+    demands = [{"src": a, "dst": "t", "paths": [[a, "h", "t"], [a, "g", "t"]]}
+               for a in sources]
+    return scenario_from_dict({"kind": "te", "name": "wide-link", "nodes": [*sources, "h", "g", "t"],
+                               "links": links, "demands": demands, "threshold": 1.0})
+
+
 def _seam_cases():
     line = InstanceFamily("te-line", count=3, size_range=(4, 6), seed=fold(7, "generalize", "family"))
     rng = np.random.default_rng(606)
     fig1a = builtin("fig1a_dp")
     te_line = generate_instances(line)[2]
+    wide = _wide_link_scenario()
     ff4 = builtin("ff4")
     lo, hi = np.array(ff4.bounds).T
     X = lo + rng.random((60, 4)) * (hi - lo)
@@ -859,17 +875,18 @@ def _seam_cases():
     X[1::7] = 0.0
     return [(fig1a, np.array(_te_demand_vectors(fig1a.instance, rng, 90))),
             (te_line, np.array(_te_demand_vectors(te_line.instance, rng, 60))),
-            (ff4, X)]
+            (ff4, X),
+            (wide, np.array(_te_demand_vectors(wide.instance, rng, 30)) / 4.0)]
 
 
-@pytest.mark.parametrize("case", range(3), ids=["fig1a_dp", "te-line", "ff4"])
+@pytest.mark.parametrize("case", range(4), ids=["fig1a_dp", "te-line", "ff4", "wide-link"])
 def test_evaluate_and_projection_match_the_per_row_path(case):
     # the batch seam against the one-row solvers, run row by row on a fresh
     # instance in the same order, each row projected by project_allocation
     # and by the oracle
     sc, X = _seam_cases()[case]
     seam, ref = (_fresh_scenario(sc) if sc.kind == "te" else sc for _ in range(2))
-    net = seam.network()
+    net = seam.network
     ids = [e.id for e in net.edges]
     with counting() as seam_work:
         outcomes = seam.evaluate(X)
@@ -898,6 +915,36 @@ def test_evaluate_and_projection_match_the_per_row_path(case):
             assert _bits(flows[side][i]) == _bits(one[e] for e in ids) == _bits(oracle[e] for e in ids)
     assert flows[0].shape == (len(X), len(ids))
     assert not np.array_equal(flows[0], flows[1])  # the heuristic loses somewhere
+
+
+def test_te_projection_and_totals_need_no_busiest_link_padding():
+    # the edge grid is as wide as the busiest link's path list (here 48 + 1
+    # columns); the projection and the totals must not build N x E x width
+    # or N x demands x width arrays from it
+    import tracemalloc
+    from xplain.heuristics.te import _route, _totals
+    sc = _wide_link_scenario()
+    inst, net = sc.instance, sc.network
+    n_rows, n_edges, width = 100, len(net.edges), inst.flow_layout.edge_grid.shape[1]
+    assert width == 49
+    X = np.array(_te_demand_vectors(inst, np.random.default_rng(5), n_rows)) / 4.0
+    flows = _route(inst, X, (False,))[0]
+    one = n_rows * n_edges * 8  # bytes of one N x E float array
+    tracemalloc.start()
+    try:
+        edges = project_edges(net, inst, X, flows)
+        _, edge_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        totals = _totals(inst, flows)
+        _, total_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert edges.shape == (n_rows, n_edges)
+    assert edge_peak < 4 * one < width * one // 8
+    # 1 + the 2 paths of a demand columns, against 49
+    assert total_peak - base < 4 * n_rows * inst.n_demands * 3 * 8
+    assert _bits(totals) == _bits(optimal_te(inst, x).total for x in X)
 
 
 # --- path generation --------------------------------------------------------
