@@ -16,7 +16,6 @@ from .explain import (
     Heatmap,
     emit_dot,
     emit_json,
-    heatmap_from_json,
     score_edges,
 )
 from .generalize import (
@@ -28,7 +27,6 @@ from .generalize import (
     evaluate_predicate,
     generate_instances,
     register_feature,
-    trend_from_json,
     trend_to_json,
 )
 from .rng import fold, substream
@@ -96,7 +94,6 @@ __all__ = [
     "Heatmap",
     "emit_dot",
     "emit_json",
-    "heatmap_from_json",
     "score_edges",
     # generalize
     "FEATURES",
@@ -107,7 +104,6 @@ __all__ = [
     "evaluate_predicate",
     "generate_instances",
     "register_feature",
-    "trend_from_json",
     "trend_to_json",
     # rng
     "fold",

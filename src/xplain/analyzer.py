@@ -119,47 +119,17 @@ def membership(x, subspace, tol=EPS_MEM):
 
 
 class ExclusionSet:
-    """Regions the search must stay out of, with revisit bookkeeping.
+    """Regions the search must stay out of: it never accepts a point inside one."""
 
-    Every rejected candidate increments the counter of each region that
-    contains it, saturating at the cap; regions at the cap are treated as
-    permanently excluded. Rejection itself is unconditional: the search
-    never accepts a point inside any member, capped or not.
-    """
-
-    def __init__(self, subspaces=(), revisit_cap=3):
-        if int(revisit_cap) < 0:
-            raise ValueError("revisit cap must be nonnegative")
-        self.revisit_cap = int(revisit_cap)
+    def __init__(self, subspaces=()):
         self._subspaces = list(subspaces)
-        self._revisits = [0] * len(self._subspaces)
-
-    def __len__(self):
-        return len(self._subspaces)
-
-    @property
-    def subspaces(self):
-        return tuple(self._subspaces)
-
-    @property
-    def revisits(self):
-        return tuple(self._revisits)
 
     def add(self, subspace):
         self._subspaces.append(subspace)
-        self._revisits.append(0)
-
-    def contains(self, x):
-        return any(membership(x, s) for s in self._subspaces)
 
     def rejects(self, x):
-        """Like contains, but counts the attempted revisit per region."""
-        hit = False
-        for i, s in enumerate(self._subspaces):
-            if membership(x, s):
-                hit = True
-                self._revisits[i] = min(self.revisit_cap, self._revisits[i] + 1)
-        return hit
+        """True iff x lies in some region (the search's one membership check)."""
+        return any(membership(x, s) for s in self._subspaces)
 
 
 def evaluate_gaps(gap_fn, X):

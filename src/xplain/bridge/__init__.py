@@ -4,13 +4,11 @@ from .compile import UnsupportedBehavior, compile_network
 from .encode import (
     EncodingTrace,
     Milp,
-    binary_weights,
     encode_milp,
-    expand_integer_column,
     milp_to_program,
     solve_encoded,
 )
-from .milp_io import load_milp, milp_from_dict, milp_to_dict, save_milp
+from .milp_io import load_milp, milp_from_dict
 from .simplify import SimplifiedProgram, simplify
 
 __all__ = [
@@ -18,15 +16,11 @@ __all__ = [
     "compile_network",
     "EncodingTrace",
     "Milp",
-    "binary_weights",
     "encode_milp",
-    "expand_integer_column",
     "milp_to_program",
     "solve_encoded",
     "load_milp",
     "milp_from_dict",
-    "milp_to_dict",
-    "save_milp",
     "SimplifiedProgram",
     "simplify",
 ]

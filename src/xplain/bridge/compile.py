@@ -16,11 +16,9 @@ from ..flow import (
     Sink,
     Source,
     Split,
-    effective_capacity,
-    effective_fixed_rate,
     validate,
 )
-from ..solver import EQ, LE, MAXIMIZE, MINIMIZE, ConstraintProgram
+from ..solver import EQ, MAXIMIZE, MINIMIZE, ConstraintProgram
 
 
 class UnsupportedBehavior(Exception):
@@ -43,12 +41,11 @@ def compile_network(net, objective_sink=None, inputs=None):
     prog = ConstraintProgram()
     idx = {}
     for e in net.edges:
-        idx[e.id] = prog.add_variable(e.id, upper=effective_capacity(net, e))
+        idx[e.id] = prog.add_variable(e.id, upper=e.capacity)
 
     for e in net.edges:
-        rate = effective_fixed_rate(net, e)
-        if rate is not None:
-            prog.add_constraint({idx[e.id]: 1.0}, EQ, rate)
+        if e.fixed_rate is not None:
+            prog.add_constraint({idx[e.id]: 1.0}, EQ, e.fixed_rate)
 
     for nid, beh in net.nodes.items():
         ins = [idx[e.id] for e in net.in_edges(nid)]

@@ -142,8 +142,7 @@ def encode_milp(milp, objective_shift=0.0):
 
     The network's objective sink, maximized, attains
     (optimum of milp normalized to max) + objective_shift.
-    Integer non-binary variables are not representable here; widen them with
-    `expand_integer_column` first.
+    Integer non-binary variables are not representable here.
     """
     if objective_shift < 0:
         raise ValueError("objective_shift must be >= 0")
@@ -281,38 +280,3 @@ def solve_encoded(milp, objective_shift=0.0):
     sink_value, assignment = evaluate(net, {}, "objective")
     x, y = trace.extract_solution(assignment)
     return trace.original_objective(sink_value), x, y, assignment
-
-
-def binary_weights(upper):
-    """Weights w with sum(w) == upper such that subset sums cover 0..upper.
-
-    The standard doubling expansion: 1, 2, 4, ... plus a final remainder term.
-    """
-    if upper < 1 or upper != int(upper):
-        raise ValueError("upper bound must be a positive integer")
-    upper = int(upper)
-    weights = []
-    w = 1
-    total = 0
-    while total + w <= upper:
-        weights.append(w)
-        total += w
-        w *= 2
-    if total < upper:
-        weights.append(upper - total)
-    return weights
-
-
-def expand_integer_column(milp, col, upper):
-    """Rewrite continuous column `col` as a bounded integer via binary expansion.
-
-    The variable is replaced by sum_k w_k * y_k over fresh binaries with
-    weights from `binary_weights(upper)`, so it ranges over exactly 0..upper.
-    """
-    w = np.array(binary_weights(upper), dtype=float)
-    keep = [j for j in range(milp.n_x) if j != col]
-    c_x = milp.c_x[keep]
-    A_x = milp.A_x[:, keep]
-    c_y = np.concatenate([milp.c_y, milp.c_x[col] * w])
-    A_y = np.hstack([milp.A_y, np.outer(milp.A_x[:, col], w)])
-    return Milp(c_x, c_y, A_x, A_y, milp.b, list(milp.row_sense), milp.sense)

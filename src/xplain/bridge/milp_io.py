@@ -1,22 +1,10 @@
-"""JSON load/save for the dense Milp container."""
+"""JSON loading for the dense Milp container."""
 
 import json
 
 import numpy as np
 
 from .encode import Milp
-
-
-def milp_to_dict(milp):
-    return {
-        "sense": milp.sense,
-        "c_x": milp.c_x.tolist(),
-        "c_y": milp.c_y.tolist(),
-        "A_x": milp.A_x.tolist(),
-        "A_y": milp.A_y.tolist(),
-        "b": milp.b.tolist(),
-        "row_sense": list(milp.row_sense),
-    }
 
 
 def milp_from_dict(data):
@@ -32,12 +20,6 @@ def milp_from_dict(data):
         list(data["row_sense"]),
         data.get("sense", "max"),
     )
-
-
-def save_milp(milp, path):
-    with open(path, "w") as fh:
-        json.dump(milp_to_dict(milp), fh, indent=2)
-        fh.write("\n")
 
 
 def load_milp(path):

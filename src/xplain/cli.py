@@ -36,9 +36,7 @@ from .heuristics import (
     Unplaceable,
     builtin,
     load_scenario,
-    optimal_te,
     optimal_vbp,
-    run_dp,
     run_ff,
     scenario_from_dict,
     sized_instance,
@@ -109,6 +107,12 @@ def _scenario(cfg):
             raise ConfigError("'scenario' must be a name, path, or object")
     except (OSError, KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"cannot load scenario: {exc}") from exc
+    if sc.kind == "vbp":
+        try:
+            sized_instance(sc.instance, sc.baseline_inputs())
+        except ValueError as exc:
+            raise ConfigError("commands take vbp scenarios of 1-D balls in one "
+                              f"bin type: {exc}") from exc
 
     pair = cfg.get("pair")
     expected = "dp-vs-opt" if sc.kind == "te" else "ff-vs-opt"
@@ -198,18 +202,19 @@ def cmd_run_heuristic(cfg, args):
         x = [float(v) for v in inputs]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"inputs must be numbers: {exc}") from exc
+    if not np.isfinite(x).all():
+        raise ConfigError("inputs must be finite")
     if len(x) != sc.dimension:
         raise ConfigError(
             f"scenario has {sc.dimension} inputs, config gives {len(x)}")
 
     if sc.kind == "te":
         try:
-            dp = run_dp(sc.instance, x)
+            dp, opt = sc.evaluate([x])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        opt = optimal_te(sc.instance, x)
-        sys.stdout.write(f"DP total {_num(dp.total)}\n")
-        sys.stdout.write(f"OPT total {_num(opt.total)}\n")
+        sys.stdout.write(f"DP total {_num(dp.values[0])}\n")
+        sys.stdout.write(f"OPT total {_num(opt.values[0])}\n")
     else:
         try:
             sized = sized_instance(sc.instance, x)
@@ -321,6 +326,10 @@ def cmd_explain(cfg, args):
     if not isinstance(index, int) or not 0 <= index < len(subs):
         raise ConfigError(
             f"subspace_index {index!r} out of range (file has {len(subs)})")
+    if subs[index].dimension != sc.dimension:
+        raise ConfigError(
+            f"subspace {index} has {subs[index].dimension} inputs, "
+            f"scenario {sc.name!r} has {sc.dimension}")
     n_samples = _section(cfg, "explainer").get("n_samples", 3000)
     if not isinstance(n_samples, int) or n_samples < 1:
         raise ConfigError("explainer.n_samples must be a positive integer")

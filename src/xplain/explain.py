@@ -13,22 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analyzer import InputSpace
+from .flow import EPS_FLOW
 from .rng import substream
 from .sampling import sample_region
-from .subspaces import subspace_from_dict, subspace_to_dict
+from .subspaces import subspace_to_dict
 
 __all__ = [
-    "EPS_FLOW",
     "EdgeScore",
     "Heatmap",
     "emit_dot",
     "emit_json",
-    "heatmap_from_json",
     "score_edges",
 ]
-
-EPS_FLOW = 1e-9  # an edge "sends flow" when its rate exceeds this
 
 N_SAMPLES = 3000
 
@@ -71,31 +67,8 @@ class Heatmap:
         return {eid: sc.mean for eid, sc in self.scores.items()}
 
 
-def _box_space(subspace):
-    """Smallest axis box implied by the subspace's single-variable rows."""
-    n = len(subspace.C) // 2
-    lo = np.full(n, -np.inf)
-    hi = np.full(n, np.inf)
-    for rows, rhs in ((subspace.A, subspace.C), (subspace.T, subspace.V)):
-        for row, bound in zip(rows, rhs):
-            row = np.asarray(row, dtype=float)
-            (nz,) = np.nonzero(row)
-            if len(nz) != 1:
-                continue
-            i = nz[0]
-            if row[i] > 0:
-                hi[i] = min(hi[i], bound / row[i])
-            else:
-                lo[i] = max(lo[i], bound / row[i])
-    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-        raise ValueError("subspace rows do not bound every dimension; "
-                         "pass the scenario space explicitly")
-    labels = getattr(subspace, "labels", None)
-    return InputSpace(tuple(zip(lo, hi)), labels=labels)
-
-
-def score_edges(net, evaluate, subspace, space=None, n_samples=N_SAMPLES, seed=0):
-    """Sample the subspace and tally per-edge disagreement on `net`.
+def score_edges(net, evaluate, subspace, space, n_samples=N_SAMPLES, seed=0):
+    """Sample `subspace` inside the box `space`; tally per-edge disagreement.
 
     `evaluate` maps the N x n stack of samples to (heuristic, benchmark)
     flows, two N x E arrays with one column per edge of `net` in order
@@ -104,8 +77,6 @@ def score_edges(net, evaluate, subspace, space=None, n_samples=N_SAMPLES, seed=0
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    if space is None:
-        space = _box_space(subspace)
     rng = substream(seed, "explain", "samples")
     points = sample_region(subspace, space, n_samples, rng)
 
@@ -209,23 +180,3 @@ def emit_json(hm):
         },
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def heatmap_from_json(text):
-    doc = json.loads(text)
-    scores = {
-        eid: EdgeScore(
-            both=int(rec["both"]),
-            benchmark_only=int(rec["benchmark_only"]),
-            heuristic_only=int(rec["heuristic_only"]),
-            neither=int(rec["neither"]),
-            mean_abs_flow_delta=float(rec["mean_abs_flow_delta"]),
-        )
-        for eid, rec in doc["edges"].items()
-    }
-    sub = doc.get("subspace")
-    return Heatmap(
-        n_samples=int(doc["n_samples"]),
-        scores=scores,
-        subspace=None if sub is None else subspace_from_dict(sub),
-    )

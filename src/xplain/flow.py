@@ -3,8 +3,7 @@
 A FlowNetwork is a directed graph whose nodes impose constraints on the flows
 of their incident edges:
 
-- Split: flow conservation, optional per-outgoing-edge capacities, optional
-  fixed incoming rates.
+- Split: flow conservation. Capacities and fixed rates live on the edges.
 - Pick: conservation plus "at most one outgoing edge carries flow".
 - Multiply: single in, single out, f_out = factor * f_in.
 - AllEqual: every incident flow takes the same value (no conservation).
@@ -24,8 +23,7 @@ from dataclasses import dataclass, field
 
 from ._validation import check_scalar
 
-EPS_FEAS = 1e-6
-EPS_FLOW = 1e-9
+EPS_FLOW = 1e-9  # an edge "sends flow" when its rate exceeds this
 
 MAXIMIZE = "maximize"
 MINIMIZE = "minimize"
@@ -45,14 +43,7 @@ class Unbounded(FlowError):
 
 @dataclass(frozen=True)
 class Split:
-    outgoing_capacities: tuple = ()   # ((edge id, capacity), ...)
-    fixed_incoming: tuple = ()        # ((edge id, rate), ...)
-
-    def __post_init__(self):
-        for label, pairs in (("capacity", self.outgoing_capacities),
-                             ("fixed rate", self.fixed_incoming)):
-            for eid, value in pairs:
-                check_scalar(value, f"split {label} for edge {eid!r}", low=0.0)
+    pass
 
 
 @dataclass(frozen=True)
@@ -143,12 +134,6 @@ class FlowNetwork:
     def in_edges(self, node_id):
         return [e for e in self.edges if e.head == node_id]
 
-    def edge_by_id(self, eid):
-        for e in self.edges:
-            if e.id == eid:
-                return e
-        raise KeyError(eid)
-
     def add_node(self, node_id, behavior, metadata=None):
         if node_id in self.nodes:
             raise ValueError(f"duplicate node id {node_id!r}")
@@ -196,118 +181,14 @@ def validate(net):
                     )
             if isinstance(beh.inner, Pick) and not outs:
                 issues.append(f"node {nid!r}: pick requires at least one outgoing edge")
-            if isinstance(beh.inner, Split):
-                issues.extend(_check_split_params(nid, beh.inner, ins, outs))
         elif isinstance(beh, Pick):
             if not outs:
                 issues.append(f"node {nid!r}: pick requires at least one outgoing edge")
-        elif isinstance(beh, Split):
-            issues.extend(_check_split_params(nid, beh, ins, outs))
-        elif isinstance(beh, (AllEqual, Copy)):
+        elif isinstance(beh, (Split, AllEqual, Copy)):
             pass
         else:
             issues.append(f"node {nid!r}: unknown behavior {type(beh).__name__}")
     return issues
-
-
-def _check_split_params(nid, split, ins, outs):
-    issues = []
-    out_ids = {e.id for e in outs}
-    in_ids = {e.id for e in ins}
-    for eid, _cap in split.outgoing_capacities:
-        if eid not in out_ids:
-            issues.append(f"node {nid!r}: capacity names non-outgoing edge {eid!r}")
-    for eid, _rate in split.fixed_incoming:
-        if eid not in in_ids:
-            issues.append(f"node {nid!r}: fixed rate names non-incoming edge {eid!r}")
-    return issues
-
-
-def assignment_violations(net, assignment, eps=EPS_FEAS):
-    """Check a FlowAssignment (edge id -> flow) against every node behavior."""
-    issues = []
-    flow = {e.id: float(assignment.get(e.id, 0.0)) for e in net.edges}
-    for eid, f in flow.items():
-        if f < -eps:
-            issues.append(f"edge {eid!r}: negative flow {f}")
-    for e in net.edges:
-        cap = effective_capacity(net, e)
-        if cap is not None and flow[e.id] > cap + eps:
-            issues.append(f"edge {e.id!r}: flow {flow[e.id]} exceeds capacity {cap}")
-        rate = effective_fixed_rate(net, e)
-        if rate is not None and abs(flow[e.id] - rate) > eps:
-            issues.append(f"edge {e.id!r}: flow {flow[e.id]} != fixed rate {rate}")
-    for nid, beh in net.nodes.items():
-        ins = sum(flow[e.id] for e in net.in_edges(nid))
-        outs_edges = net.out_edges(nid)
-        outs = sum(flow[e.id] for e in outs_edges)
-        if isinstance(beh, Source):
-            beh = beh.inner
-            if isinstance(beh, Pick):
-                positive = [e.id for e in outs_edges if flow[e.id] > EPS_FLOW]
-                if len(positive) > 1:
-                    issues.append(f"node {nid!r}: pick sends flow on {positive}")
-            continue  # conservation at sources is driven by the input value
-        if isinstance(beh, Split):
-            if abs(ins - outs) > eps:
-                issues.append(f"node {nid!r}: split conservation off by {ins - outs}")
-        elif isinstance(beh, Pick):
-            if abs(ins - outs) > eps:
-                issues.append(f"node {nid!r}: pick conservation off by {ins - outs}")
-            positive = [e.id for e in outs_edges if flow[e.id] > EPS_FLOW]
-            if len(positive) > 1:
-                issues.append(f"node {nid!r}: pick sends flow on {positive}")
-        elif isinstance(beh, Multiply):
-            if len(net.in_edges(nid)) == 1 and len(outs_edges) == 1:
-                got = flow[outs_edges[0].id]
-                want = beh.factor * ins
-                if abs(got - want) > eps:
-                    issues.append(f"node {nid!r}: multiply output {got} != {want}")
-        elif isinstance(beh, AllEqual):
-            incident = [flow[e.id] for e in net.in_edges(nid)] + \
-                       [flow[e.id] for e in outs_edges]
-            if incident and max(incident) - min(incident) > eps:
-                issues.append(f"node {nid!r}: all-equal flows spread "
-                              f"{max(incident) - min(incident)}")
-        elif isinstance(beh, Copy):
-            for e in outs_edges:
-                if abs(flow[e.id] - ins) > eps:
-                    issues.append(f"node {nid!r}: copy edge {e.id!r} flow "
-                                  f"{flow[e.id]} != total in {ins}")
-    return issues
-
-
-def effective_capacity(net, e):
-    """Edge capacity combined with the tail split's per-edge capacity."""
-    caps = []
-    if e.capacity is not None:
-        caps.append(e.capacity)
-    beh = net.nodes.get(e.tail)
-    if isinstance(beh, Source):
-        beh = beh.inner
-    if isinstance(beh, Split):
-        for eid, cap in beh.outgoing_capacities:
-            if eid == e.id:
-                caps.append(cap)
-    return min(caps) if caps else None
-
-
-def effective_fixed_rate(net, e):
-    rates = []
-    if e.fixed_rate is not None:
-        rates.append(e.fixed_rate)
-    beh = net.nodes.get(e.head)
-    if isinstance(beh, Source):
-        beh = beh.inner
-    if isinstance(beh, Split):
-        for eid, rate in beh.fixed_incoming:
-            if eid == e.id:
-                rates.append(rate)
-    if not rates:
-        return None
-    if len(set(rates)) > 1:
-        raise FlowError(f"edge {e.id!r}: conflicting fixed rates {rates}")
-    return rates[0]
 
 
 def evaluate(net, inputs, objective_sink):
@@ -351,12 +232,7 @@ _BEHAVIOR_NAMES = {
 
 def _behavior_to_dict(beh):
     d = {"behavior": _BEHAVIOR_NAMES[type(beh)]}
-    if isinstance(beh, Split):
-        if beh.outgoing_capacities:
-            d["outgoing_capacities"] = {k: v for k, v in beh.outgoing_capacities}
-        if beh.fixed_incoming:
-            d["fixed_incoming"] = {k: v for k, v in beh.fixed_incoming}
-    elif isinstance(beh, Multiply):
+    if isinstance(beh, Multiply):
         d["factor"] = beh.factor
     elif isinstance(beh, Source):
         inner = _behavior_to_dict(beh.inner)
@@ -370,11 +246,13 @@ def _behavior_to_dict(beh):
 
 def _behavior_from_dict(d):
     kind = d["behavior"]
+    stale = sorted({"outgoing_capacities", "fixed_incoming"} & set(d))
+    if stale:
+        # refused, not ignored: dropping them would loosen the network
+        raise ValueError(f"node {d.get('id')!r}: split keys {stale} are not "
+                         "supported; set capacity and fixed_rate on the edges")
     if kind == "split":
-        return Split(
-            tuple(sorted((k, float(v)) for k, v in d.get("outgoing_capacities", {}).items())),
-            tuple(sorted((k, float(v)) for k, v in d.get("fixed_incoming", {}).items())),
-        )
+        return Split()
     if kind == "pick":
         return Pick()
     if kind == "multiply":
@@ -384,13 +262,7 @@ def _behavior_from_dict(d):
     if kind == "copy":
         return Copy()
     if kind == "source":
-        inner_kind = d.get("inner", "split")
-        if inner_kind == "pick":
-            return Source(Pick())
-        return Source(Split(
-            tuple(sorted((k, float(v)) for k, v in d.get("outgoing_capacities", {}).items())),
-            tuple(sorted((k, float(v)) for k, v in d.get("fixed_incoming", {}).items())),
-        ))
+        return Source(Pick() if d.get("inner", "split") == "pick" else Split())
     if kind == "sink":
         return Sink(d.get("sense", MAXIMIZE))
     raise ValueError(f"unknown behavior {kind!r}")

@@ -28,7 +28,6 @@ __all__ = [
     "evaluate_predicate",
     "generate_instances",
     "register_feature",
-    "trend_from_json",
     "trend_to_json",
 ]
 
@@ -51,8 +50,8 @@ class TooFewInstances(ValueError):
 FEATURES = {}
 
 
-def register_feature(name, fn, replace=False):
-    if not replace and name in FEATURES:
+def register_feature(name, fn):
+    if name in FEATURES:
         raise ValueError(f"feature {name!r} already registered")
     FEATURES[str(name)] = fn
     return fn
@@ -307,15 +306,3 @@ def trend_to_json(finding):
         ],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def trend_from_json(text):
-    doc = json.loads(text)
-    pred = Predicate(kind=doc["predicate"]["kind"],
-                     feature=doc["predicate"]["feature"],
-                     alpha=float(doc["predicate"]["alpha"]))
-    rows = tuple((r["instance"], float(r["feature"]), float(r["max_gap"]))
-                 for r in doc["observations"])
-    return TrendFinding(predicate=pred, tau=float(doc["tau"]),
-                        p=float(doc["p"]), holds=bool(doc["holds"]),
-                        observations=rows, note=doc["note"])

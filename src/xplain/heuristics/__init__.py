@@ -15,9 +15,7 @@ from .scenario import (
     Scenario,
     builtin,
     load_scenario,
-    save_scenario,
     scenario_from_dict,
-    scenario_to_dict,
 )
 from .te import (
     Demand,
@@ -44,8 +42,7 @@ __all__ = [
     "EPS_DEN", "gap",
     "ball_node", "demand_node", "link_edge_id",
     "project_allocation", "project_edges", "te_network", "vbp_network",
-    "BUILTIN", "Scenario", "builtin", "load_scenario", "save_scenario",
-    "scenario_from_dict", "scenario_to_dict",
+    "BUILTIN", "Scenario", "builtin", "load_scenario", "scenario_from_dict",
     "Demand", "Link", "TeAllocation", "TeInstance", "all_simple_paths",
     "k_shortest_paths", "make_instance", "optimal_te", "run_dp",
     "Unplaceable", "VbpAllocation", "VbpInstance", "min_bins", "optimal_vbp",

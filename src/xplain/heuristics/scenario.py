@@ -211,46 +211,9 @@ def scenario_from_dict(doc):
     return Scenario(name, kind, inst, bounds)
 
 
-def scenario_to_dict(sc):
-    if sc.kind == "te":
-        inst = sc.instance
-        return {
-            "kind": "te",
-            "name": sc.name,
-            "nodes": list(inst.nodes),
-            "links": [{"src": l.src, "dst": l.dst, "capacity": l.capacity}
-                      for l in inst.links],
-            "demands": [{"src": d.src, "dst": d.dst,
-                         "paths": [list(p) for p in d.paths],
-                         "shortest": list(d.shortest)} for d in inst.demands],
-            "threshold": inst.threshold,
-            "bounds": [list(b) for b in sc.bounds],
-        }
-    inst = sc.instance
-    doc = {
-        "kind": "vbp",
-        "name": sc.name,
-        "sizes": [list(s) if len(s) > 1 else s[0] for s in inst.sizes],
-        "bounds": [list(b) for b in sc.bounds],
-    }
-    if inst.bins is None:
-        doc["bins"] = None
-        doc["bin_capacity"] = (inst.bin_capacity[0] if len(inst.bin_capacity) == 1
-                               else list(inst.bin_capacity))
-    else:
-        doc["bins"] = [list(b) if len(b) > 1 else b[0] for b in inst.bins]
-    return doc
-
-
 def load_scenario(path):
     with open(path) as fh:
         return scenario_from_dict(json.load(fh))
-
-
-def save_scenario(sc, path):
-    with open(path, "w") as fh:
-        json.dump(scenario_to_dict(sc), fh, indent=2)
-        fh.write("\n")
 
 
 def builtin(name):

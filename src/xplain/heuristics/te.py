@@ -204,10 +204,6 @@ class TeAllocation:
     def unmet(self, k):
         return float(self.demands[k]) - self.routed(k)
 
-    @property
-    def total_unmet(self):
-        return float(sum(self.demands)) - self.total
-
 
 class _MaxFlow(NamedTuple):
     lp: solver.ParametricLP

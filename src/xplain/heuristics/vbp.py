@@ -95,10 +95,6 @@ class VbpInstance:
     def identical_bins(self):
         return self.bins is None or len(set(self.bins)) <= 1
 
-    def with_bins(self, count):
-        """Unbounded instance pinned down to a concrete pool of `count` bins."""
-        return VbpInstance(self.sizes, self.bin_list(count))
-
 
 def sized_instance(inst, sizes):
     """An unbounded pool of `inst`'s one bin type, holding 1-D balls `sizes`.

@@ -68,11 +68,6 @@ class Solution:
     def __getitem__(self, name):
         return float(self.values[self.names.index(name)])
 
-    def as_dict(self):
-        if self.values is None:
-            return {}
-        return {n: float(v) for n, v in zip(self.names, self.values)}
-
 
 @dataclass
 class ConstraintProgram:

@@ -9,7 +9,7 @@ candidates only blank out a small ball around their seed so a later, better
 shaped region may cover the same ground.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -103,7 +103,6 @@ class SearchParams:
 
     budget: int = 2000
     min_gap: float = 0.0
-    revisit_cap: int = 3
 
 
 @dataclass(frozen=True)
@@ -151,7 +150,7 @@ def generate_subspaces(space, gap_fn, search=None, growth=None, stats=None,
     stats = stats if stats is not None else StatsParams()
     limits = limits if limits is not None else Limits()
 
-    excl = ExclusionSet(revisit_cap=search.revisit_cap)
+    excl = ExclusionSet()
     kept = []
     for iteration in range(limits.max_iterations):
         if len(kept) >= limits.max_subspaces:

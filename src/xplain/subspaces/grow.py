@@ -63,9 +63,6 @@ class SliceGrid:
     densities: np.ndarray
     frozen: np.ndarray
 
-    def direction(self, dim, sign):
-        return 2 * dim + (0 if sign > 0 else 1)
-
 
 @dataclass(frozen=True)
 class RoughBox:

@@ -5,12 +5,16 @@ constraint-intersection vertices, the MILP oracle enumerates binary patterns
 on top of it, the Wilcoxon oracle enumerates sign patterns literally, and
 the Kendall oracle enumerates every permutation of the gaps. The edge
 oracles project one allocation onto its network's edges by id, and tally a
-heatmap one sample and one edge at a time.
+heatmap one sample and one edge at a time. `assignment_violations` checks a
+flow assignment against each node behaviour's semantics directly; it takes
+only the node classes and the flow threshold from the package.
 """
 
 import itertools
 
 import numpy as np
+
+from xplain.flow import EPS_FLOW, AllEqual, Copy, Multiply, Pick, Source, Split
 
 _FEAS_TOL = 1e-9
 
@@ -267,3 +271,55 @@ def edge_tally(edge_ids, samples, eps=1e-9):
         n = len(samples)
         out[eid] = (both, bench, heur, n - both - bench - heur, delta / n)
     return out
+
+
+def assignment_violations(net, assignment, eps=1e-6):
+    """Check a FlowAssignment (edge id -> flow) against every node behavior."""
+    issues = []
+    flow = {e.id: float(assignment.get(e.id, 0.0)) for e in net.edges}
+    for eid, f in flow.items():
+        if f < -eps:
+            issues.append(f"edge {eid!r}: negative flow {f}")
+    for e in net.edges:
+        if e.capacity is not None and flow[e.id] > e.capacity + eps:
+            issues.append(f"edge {e.id!r}: flow {flow[e.id]} exceeds capacity {e.capacity}")
+        if e.fixed_rate is not None and abs(flow[e.id] - e.fixed_rate) > eps:
+            issues.append(f"edge {e.id!r}: flow {flow[e.id]} != fixed rate {e.fixed_rate}")
+    for nid, beh in net.nodes.items():
+        ins = sum(flow[e.id] for e in net.in_edges(nid))
+        outs_edges = net.out_edges(nid)
+        outs = sum(flow[e.id] for e in outs_edges)
+        if isinstance(beh, Source):
+            beh = beh.inner
+            if isinstance(beh, Pick):
+                positive = [e.id for e in outs_edges if flow[e.id] > EPS_FLOW]
+                if len(positive) > 1:
+                    issues.append(f"node {nid!r}: pick sends flow on {positive}")
+            continue  # conservation at sources is driven by the input value
+        if isinstance(beh, Split):
+            if abs(ins - outs) > eps:
+                issues.append(f"node {nid!r}: split conservation off by {ins - outs}")
+        elif isinstance(beh, Pick):
+            if abs(ins - outs) > eps:
+                issues.append(f"node {nid!r}: pick conservation off by {ins - outs}")
+            positive = [e.id for e in outs_edges if flow[e.id] > EPS_FLOW]
+            if len(positive) > 1:
+                issues.append(f"node {nid!r}: pick sends flow on {positive}")
+        elif isinstance(beh, Multiply):
+            if len(net.in_edges(nid)) == 1 and len(outs_edges) == 1:
+                got = flow[outs_edges[0].id]
+                want = beh.factor * ins
+                if abs(got - want) > eps:
+                    issues.append(f"node {nid!r}: multiply output {got} != {want}")
+        elif isinstance(beh, AllEqual):
+            incident = [flow[e.id] for e in net.in_edges(nid)] + \
+                       [flow[e.id] for e in outs_edges]
+            if incident and max(incident) - min(incident) > eps:
+                issues.append(f"node {nid!r}: all-equal flows spread "
+                              f"{max(incident) - min(incident)}")
+        elif isinstance(beh, Copy):
+            for e in outs_edges:
+                if abs(flow[e.id] - ins) > eps:
+                    issues.append(f"node {nid!r}: copy edge {e.id!r} flow "
+                                  f"{flow[e.id]} != total in {ins}")
+    return issues

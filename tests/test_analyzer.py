@@ -92,22 +92,14 @@ def test_membership_random_boxes_agree_with_interval_test():
 
 def test_empty_exclusion_set_never_contains():
     excl = ExclusionSet()
-    assert not excl.contains([0.5])
     assert not excl.rejects([0.5])
 
 
-def test_exclusion_counters_saturate_at_cap():
-    excl = ExclusionSet([box_region([0.0], [1.0])], revisit_cap=3)
+def test_exclusion_set_rejects_every_covered_point():
+    excl = ExclusionSet([box_region([0.0], [1.0])])
     for _ in range(5):
         assert excl.rejects([0.5])
-    assert excl.revisits == (3,)
     assert not excl.rejects([2.0])
-    assert excl.revisits == (3,)
-
-
-def test_exclusion_set_rejects_negative_cap():
-    with pytest.raises(ValueError):
-        ExclusionSet(revisit_cap=-1)
 
 
 def test_grid_and_pattern_search_agree_on_plateau():
@@ -155,11 +147,10 @@ def test_never_returns_a_point_inside_an_exclusion():
     res = find_adversarial(sp, plateau, exclusions=excl, budget=450,
                            min_gap=0.5, seed=1)
     assert isinstance(res, NotFound)
-    assert excl.revisits[0] > 0
     found = find_adversarial(sp, plateau, exclusions=excl, budget=450,
                              min_gap=0.0, seed=1)
     assert isinstance(found, AdversarialPoint)
-    assert not membership(found.x, excl.subspaces[0])
+    assert not excl.rejects(found.x)
 
 
 def test_exclusion_of_half_the_plateau_still_finds_the_rest():
@@ -169,7 +160,7 @@ def test_exclusion_of_half_the_plateau_still_finds_the_rest():
                           min_gap=0.5, seed=1)
     assert isinstance(pt, AdversarialPoint)
     assert pt.x[0] > 0.5
-    assert not membership(pt.x, excl.subspaces[0])
+    assert not excl.rejects(pt.x)
 
 
 class Recorder:
@@ -214,12 +205,11 @@ def test_evaluation_trace_is_identical_across_runs():
 
 def test_batched_search_sees_the_draws_exclusions_let_through_in_order():
     space = InputSpace(((0.0, 1.0),) * 4)
-    excls = [ExclusionSet([box_region([0.0] * 4, [0.5, 1.0, 1.0, 1.0]), D0], revisit_cap=50)
-             for _ in range(2)]
-    traces = [trace_of(space, 240, 9, excl, batched) for excl, batched in zip(excls, (False, True))]
+    excl = ExclusionSet([box_region([0.0] * 4, [0.5, 1.0, 1.0, 1.0]), D0])
+    traces = [trace_of(space, 240, 9, excl, batched) for batched in (False, True)]
     assert traces[0] == traces[1] and len(traces[0]) == 240
-    assert excls[0].revisits == excls[1].revisits and excls[0].revisits[0] > 0
-    assert all(not excls[0].contains(x) for x in traces[0])
+    assert all(not excl.rejects(x) for x in traces[0])
+    assert traces[0] != trace_of(space, 240, 9)  # the exclusions turned draws away
 
 
 def test_batched_search_cuts_the_last_poll_round_at_the_budget():

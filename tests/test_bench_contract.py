@@ -1,20 +1,25 @@
-"""What bench/tracer.py reaches into the package for, by name.
+"""What bench/tracer.py and the README reach into the package for, by name.
 
-The tracer wraps each (module, function) pair of its WRAPPED list, and its
-layer cases capture the programs that optimal_te and optimal_vbp hand to
-the solver by patching xplain.solver; these tests keep those names working.
+The tracer wraps each (module, function) pair of its WRAPPED list, reads
+further `xplain.<name>` attributes, and its layer cases capture the programs
+that optimal_te and optimal_vbp hand to the solver by patching
+xplain.solver; these tests keep those names working, and run the README's
+library example as written.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
+import xplain.cli
 import xplain.solver
 from xplain.heuristics import builtin, optimal_te, optimal_vbp
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def wrapped_pairs():
@@ -31,6 +36,39 @@ def test_every_wrapped_function_resolves():
     assert ("xplain.heuristics.networks", "project_allocation") in pairs
     for module, name in pairs:
         assert callable(getattr(importlib.import_module(module), name)), (module, name)
+
+
+def package_names():
+    """Each chain `xplain.a.b` the tracer's source reads, as "a.b" (and "a")."""
+    names = set()
+    for node in ast.walk(ast.parse(TRACER.read_text())):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id == "xplain":
+            names.add(".".join(reversed(parts)))
+    return names
+
+
+def test_every_package_name_the_tracer_reads_resolves():
+    names = package_names()
+    assert {"ExclusionSet.rejects", "Subspace.box", "fit_regression_tree",
+            "check_significance", "sample_region", "kendall_trend",
+            "wilcoxon_signed_rank", "cli.main"} <= names
+    for name in names:
+        obj = xplain
+        for part in name.split("."):
+            obj = getattr(obj, part)
+    # its layer cases and bench/run.py's set-up build scenarios and gaps
+    assert callable(builtin("ff4").gap_fn("absolute"))
+
+
+def test_readme_library_example_runs_verbatim(capsys):
+    text = (ROOT / "README.md").read_text()
+    (code,) = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.count("\n") == 2  # the example's two prints
 
 
 class Captured(Exception):

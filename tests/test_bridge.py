@@ -1,16 +1,15 @@
 """Bridge: network compilation, program simplification, MILP encoding."""
 
+import json
+
 import numpy as np
 import pytest
 
 from xplain.bridge import (
     Milp,
-    binary_weights,
     compile_network,
     encode_milp,
-    expand_integer_column,
-    milp_from_dict,
-    milp_to_dict,
+    load_milp,
     milp_to_program,
     simplify,
     solve_encoded,
@@ -24,13 +23,12 @@ from xplain.flow import (
     Sink,
     Source,
     Split,
-    assignment_violations,
     evaluate,
     validate,
 )
 from xplain.solver import EQ, LE, solve_lp, solve_mip
 
-from oracles import milp_oracle
+from oracles import assignment_violations, milp_oracle
 
 
 # --- compile ----------------------------------------------------------------
@@ -263,12 +261,13 @@ def test_encode_structure_per_row_and_binary():
     # binary pick: unit feed plus two outgoing edges
     pick = net.nodes["y0:pick"]
     assert isinstance(pick, Pick)
-    unit = net.edge_by_id("y0:unit")
+    edges = {e.id: e for e in net.edges}
+    unit = edges["y0:unit"]
     assert unit.fixed_rate == 1.0
     outs = {e.id for e in net.out_edges("y0:pick")}
     assert outs == {"y0:feed", "y0:complement"}
     # objective sink fed by the p variable's node
-    obj_edge = net.edge_by_id("p:objective")
+    obj_edge = edges["p:objective"]
     assert obj_edge.tail == "p" and obj_edge.head == "objective"
 
 
@@ -393,52 +392,15 @@ def test_encode_against_independent_enumeration_oracle():
         done += 1
 
 
-# --- integer expansion ------------------------------------------------------
-
-def test_binary_weights_cover_range_exactly():
-    for upper in (1, 2, 3, 5, 7, 10, 13):
-        w = binary_weights(upper)
-        assert sum(w) == upper
-        sums = {0}
-        for wk in w:
-            sums |= {s + wk for s in sums}
-        assert sums == set(range(upper + 1))
-
-
-def test_binary_weights_rejects_bad_bounds():
-    with pytest.raises(ValueError):
-        binary_weights(0)
-    with pytest.raises(ValueError):
-        binary_weights(2.5)
-
-
-def test_expand_integer_column_matches_enumeration():
-    # max 2k + x  s.t.  k + x <= 6, x <= 2, k integer in 0..5 -> k=5, x=1
-    m = Milp(np.array([2.0, 1.0]), np.zeros(0),
-             np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros((2, 0)),
-             np.array([6.0, 2.0]), [LE, LE])
-    expanded = expand_integer_column(m, 0, 5)
-    assert expanded.n_x == 1 and expanded.n_y == len(binary_weights(5))
-    value, x, y, _ = solve_encoded(expanded)
-    assert value == pytest.approx(11.0)
-    k = sum(w * y[f"y{j}"] for j, w in enumerate(binary_weights(5)))
-    assert k == pytest.approx(5.0)
-    assert x["x0"] == pytest.approx(1.0)
-
-
 # --- io ---------------------------------------------------------------------
 
 def test_milp_json_round_trip(tmp_path):
-    from xplain.bridge import load_milp, save_milp
-
-    m = Milp(np.array([1.0, -2.0]), np.array([3.0]),
-             np.array([[1.0, 0.5], [-1.0, 2.0]]), np.array([[1.0], [0.0]]),
-             np.array([4.0, 2.0]), [LE, EQ], "min")
+    doc = {"sense": "min", "c_x": [1.0, -2.0], "c_y": [3.0],
+           "A_x": [[1.0, 0.5], [-1.0, 2.0]], "A_y": [[1.0], [0.0]],
+           "b": [4.0, 2.0], "row_sense": [LE, EQ]}
     path = tmp_path / "m.json"
-    save_milp(m, path)
-    back = load_milp(path)
-    np.testing.assert_allclose(back.c_x, m.c_x)
-    np.testing.assert_allclose(back.A_y, m.A_y)
-    assert back.row_sense == m.row_sense
-    assert back.sense == "min"
-    assert milp_to_dict(milp_from_dict(milp_to_dict(m))) == milp_to_dict(m)
+    path.write_text(json.dumps(doc))
+    m = load_milp(path)
+    assert isinstance(m, Milp) and m.sense == "min" and m.row_sense == [LE, EQ]
+    for key in ("c_x", "c_y", "A_x", "A_y", "b"):
+        assert getattr(m, key).tolist() == doc[key]

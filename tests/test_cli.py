@@ -94,6 +94,32 @@ def test_run_heuristic_oversized_ball_is_config_error(tmp_path, capsys, caplog):
     assert "config error: ball 0 fits in no bin" in caplog.text
 
 
+@pytest.mark.parametrize("scenario, inputs", [
+    ("ff4", [float("nan"), 0.1, 0.1, 0.1]),
+    ("fig1a_dp", [100, float("inf"), 0, 0, 100, 0, 0, 0]),
+])
+def test_run_heuristic_non_finite_input_is_config_error(tmp_path, capsys, caplog,
+                                                        scenario, inputs):
+    cfg = write_config(tmp_path, "c.json", {"scenario": scenario, "inputs": inputs})
+    code, out = run_cli(capsys, "run-heuristic", "--config", cfg, "--seed", "1")
+    assert code == 1 and out == ""
+    assert "config error: inputs must be finite" in caplog.text
+
+
+@pytest.mark.parametrize("command", ["analyze", "subspaces", "run-heuristic"])
+@pytest.mark.parametrize("scenario", [
+    dict(TWO_BALLS, sizes=[[0.6, 0.2], [0.6, 0.2]], bin_capacity=[1.0, 1.0]),
+    dict(TWO_BALLS, bins=[0.8, 1.0]),
+], ids=["2-d-balls", "mixed-bins"])
+def test_vbp_scenario_no_command_can_evaluate_is_config_error(tmp_path, capsys, caplog,
+                                                              command, scenario):
+    cfg = write_config(tmp_path, "c.json", {"scenario": scenario, "analyzer": {"budget": 20}})
+    code, out = run_cli(capsys, command, "--config", cfg, "--seed", "1",
+                        "--out", str(tmp_path / "out"))
+    assert code == 1 and out == ""
+    assert "1-D balls in one bin type" in caplog.text
+
+
 # analyze
 
 def test_analyze_finds_ff_gap(tmp_path, capsys):
@@ -250,6 +276,15 @@ def test_explain_unsample_region_exits_3(tmp_path, capsys):
     code, _ = run_cli(capsys, "explain", "--config", cfg, "--seed", "4",
                       "--out", str(tmp_path / "out"))
     assert code == 3
+
+
+def test_explain_subspace_of_another_dimension_is_config_error(tmp_path, capsys, caplog):
+    cfg = write_config(tmp_path, "c.json", {"scenario": "fig1a_dp",
+                                            "subspace_file": ff4_box_file(tmp_path)})
+    code, out = run_cli(capsys, "explain", "--config", cfg, "--seed", "4",
+                        "--out", str(tmp_path / "out"))
+    assert code == 1 and out == ""
+    assert "subspace 0 has 4 inputs, scenario 'fig1a_dp' has 8" in caplog.text
 
 
 def test_explain_requires_subspace_file(tmp_path, capsys):

@@ -9,14 +9,13 @@ from oracles import edge_tally, te_edge_flows, vbp_edge_flows
 
 from xplain.analyzer import InputSpace
 from xplain.explain import (
-    EPS_FLOW,
     EdgeScore,
     Heatmap,
     emit_dot,
     emit_json,
-    heatmap_from_json,
     score_edges,
 )
+from xplain.flow import EPS_FLOW
 from xplain.heuristics import (
     VbpInstance,
     builtin,
@@ -29,7 +28,7 @@ from xplain.heuristics import (
 )
 from xplain.rng import substream
 from xplain.sampling import sample_region
-from xplain.subspaces import Subspace
+from xplain.subspaces import Subspace, subspace_to_dict
 
 
 def heuristic_twice(evaluate):
@@ -150,24 +149,6 @@ def test_determinism_per_seed(fig1a):
     assert a.scores == b.scores
 
 
-def test_space_derived_from_box_rows(fig1a, pinnable):
-    sc, net, ev = fig1a
-    sub, explicit = pinnable
-    derived = score_edges(net, ev, sub, n_samples=100, seed=3)
-    # scores are constant over this region, so both samplings agree on signs
-    for eid in explicit.scores:
-        assert np.sign(derived.mean(eid)) == np.sign(explicit.mean(eid))
-
-
-def test_unbounded_rows_need_explicit_space():
-    # diagonal rows bound the polytope but no single axis, so no box falls out
-    sub = Subspace(A=[[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]],
-                   C=[1.0, 0.0, 1.0, 1.0], T=(), V=())
-    net = vbp_network(VbpInstance(((0.5,), (0.5,)), None, 1.0), n_bins=2)
-    with pytest.raises(ValueError):
-        score_edges(net, stub(net, {}, {}), sub, n_samples=5, seed=0)
-
-
 @pytest.mark.parametrize("name, lo, hi, n", [
     ("fig1a_dp", [0.0] * 8, [80.0] * 8, 150),
     ("fig1a_dp", [100, 40, 0, 0, 100, 0, 0, 0], [100, 50, 0, 0, 100, 0, 0, 0], 80),
@@ -278,25 +259,27 @@ def test_partial_intensity_interpolates(fig1a):
 
 # JSON round trips
 
+def json_scores(doc):
+    return {eid: EdgeScore(rec["both"], rec["benchmark_only"], rec["heuristic_only"],
+                           rec["neither"], rec["mean_abs_flow_delta"])
+            for eid, rec in doc["edges"].items()}
+
+
 def test_json_roundtrip_lossless(pinnable):
     sub, hm = pinnable
-    back = heatmap_from_json(emit_json(hm))
-    assert back.n_samples == hm.n_samples
-    assert back.scores == hm.scores
-    assert back.subspace.A == sub.A
-    assert back.subspace.C == sub.C
-    assert back.subspace.T == sub.T
-    assert back.subspace.V == sub.V
-    assert emit_json(back) == emit_json(hm)
+    doc = json.loads(emit_json(hm))
+    assert doc["n_samples"] == hm.n_samples
+    assert json_scores(doc) == hm.scores
+    assert doc["subspace"] == json.loads(json.dumps(subspace_to_dict(sub)))
 
 
 def test_json_without_subspace():
     hm = Heatmap(n_samples=2, scores={
         "e": EdgeScore(both=1, benchmark_only=1, heuristic_only=0, neither=0,
                        mean_abs_flow_delta=0.25)})
-    back = heatmap_from_json(emit_json(hm))
-    assert back.subspace is None
-    assert back.scores == hm.scores
+    doc = json.loads(emit_json(hm))
+    assert doc["subspace"] is None
+    assert json_scores(doc) == hm.scores
 
 
 def test_json_is_valid_and_sorted(pinnable):

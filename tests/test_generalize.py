@@ -9,7 +9,6 @@ from xplain.generalize import (
     InstanceFamily,
     Predicate,
     TooFewInstances,
-    TrendFinding,
     ball_count,
     ball_size_sum,
     evaluate_predicate,
@@ -17,10 +16,9 @@ from xplain.generalize import (
     min_path_capacity,
     pinned_shortest_path_length,
     register_feature,
-    trend_from_json,
     trend_to_json,
 )
-from xplain.heuristics import optimal_te, run_dp, run_ff, scenario_to_dict
+from xplain.heuristics import optimal_te, run_dp, run_ff
 
 
 def line_family(count=5, lo=2, hi=6, seed=0):
@@ -54,9 +52,9 @@ def test_generation_deterministic():
 
     a = generate_instances(spread(9))
     b = generate_instances(spread(9))
-    assert [scenario_to_dict(s) for s in a] == [scenario_to_dict(s) for s in b]
+    assert a == b
     c = generate_instances(spread(10))
-    assert [scenario_to_dict(s) for s in a] != [scenario_to_dict(s) for s in c]
+    assert a != c
 
 
 def test_vbp_random_instances_are_runnable():
@@ -120,14 +118,13 @@ def test_predicate_validation():
         Predicate("increasing", "ball_count", alpha=1.0)
 
 
-def test_register_feature_collision_and_replace():
+def test_register_feature_rejects_a_collision():
     name = "test_only_feature"
     try:
         register_feature(name, lambda sc: 1.0)
         with pytest.raises(ValueError):
             register_feature(name, lambda sc: 2.0)
-        register_feature(name, lambda sc: 2.0, replace=True)
-        assert FEATURES[name](None) == 2.0
+        assert FEATURES[name](None) == 1.0
         Predicate("increasing", name)  # now resolvable
     finally:
         FEATURES.pop(name, None)
@@ -213,10 +210,13 @@ def test_trend_json_roundtrip():
     finding = evaluate_predicate(
         Predicate("increasing", "pinned_shortest_path_length"),
         insts, gap_probe=lambda sc, s: pinned_shortest_path_length(sc) + 0.25)
-    text = trend_to_json(finding)
-    assert trend_from_json(text) == finding
-    assert trend_to_json(trend_from_json(text)) == text
-    doc = json.loads(text)
+    doc = json.loads(trend_to_json(finding))
+    assert doc["predicate"] == {"kind": "increasing", "alpha": finding.predicate.alpha,
+                                "feature": "pinned_shortest_path_length"}
+    assert (doc["tau"], doc["p"], doc["holds"], doc["note"]) == \
+        (finding.tau, finding.p, finding.holds, finding.note)
+    assert [(r["instance"], r["feature"], r["max_gap"]) for r in doc["observations"]] == \
+        list(finding.observations)
     assert [r["instance"] for r in doc["observations"]] == \
         [sc.name for sc in insts]
 
