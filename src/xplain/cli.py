@@ -9,50 +9,18 @@ output and to files under --out.
 Exit codes: 0 success, 1 bad configuration, 2 internal failure,
 3 nothing found (no adversarial point, no significant subspace, trend
 does not hold, or the target region cannot be sampled).
+
+Each command imports what it runs when it starts, so a command pays for
+its own modules only; a function is imported from the module that defines
+it, so a binding patched there (as bench/tracer.py patches) is the one used.
 """
 
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
-
-import numpy as np
-
-from . import flow
-from .analyzer import NotFound, find_adversarial
-from .bridge import encode_milp, load_milp, milp_to_program, solve_encoded
-from .explain import emit_dot, emit_json, score_edges
-from .generalize import (
-    InstanceFamily,
-    Predicate,
-    TooFewInstances,
-    evaluate_predicate,
-    generate_instances,
-    trend_to_json,
-)
-from .heuristics import (
-    BUILTIN,
-    Unplaceable,
-    builtin,
-    load_scenario,
-    optimal_vbp,
-    run_ff,
-    scenario_from_dict,
-    sized_instance,
-)
-from .rng import fold
-from .sampling import SamplingFailure
-from .solver import solve_mip
-from .subspaces import (
-    Limits,
-    SearchParams,
-    StatsParams,
-    SubspaceParams,
-    generate_subspaces,
-    load_subspaces,
-    save_subspaces,
-)
 
 log = logging.getLogger("xplain")
 
@@ -93,6 +61,9 @@ def _section(cfg, key):
 
 
 def _scenario(cfg):
+    from .heuristics.scenario import BUILTIN, builtin, load_scenario, scenario_from_dict
+    from .heuristics.vbp import sized_instance
+
     ref = cfg.get("scenario")
     if ref is None:
         raise ConfigError("config needs a 'scenario' entry")
@@ -150,6 +121,9 @@ def _analyzer_budget(cfg):
 
 
 def _growth_params(cfg):
+    from .subspaces.generate import Limits
+    from .subspaces.grow import SubspaceParams
+
     sec = _section(cfg, "subspaces")
     known = {"w0", "delta", "rho_min", "gamma", "n_shell", "max_depth",
              "min_leaf", "max_subspaces", "max_iterations"}
@@ -169,6 +143,8 @@ def _growth_params(cfg):
 
 
 def _stats_params(cfg):
+    from .subspaces.generate import StatsParams
+
     sec = _section(cfg, "stats")
     try:
         return StatsParams(n_pairs=sec.get("n_pairs"),
@@ -196,13 +172,15 @@ def _num(v):
 # commands
 
 def cmd_run_heuristic(cfg, args):
+    from .heuristics.vbp import Unplaceable, optimal_vbp, run_ff, sized_instance
+
     sc = _scenario(cfg)
     inputs = cfg.get("inputs", list(sc.baseline_inputs()))
     try:
         x = [float(v) for v in inputs]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"inputs must be numbers: {exc}") from exc
-    if not np.isfinite(x).all():
+    if not all(map(math.isfinite, x)):
         raise ConfigError("inputs must be finite")
     if len(x) != sc.dimension:
         raise ConfigError(
@@ -230,6 +208,8 @@ def cmd_run_heuristic(cfg, args):
 
 
 def cmd_analyze(cfg, args):
+    from .analyzer import NotFound, find_adversarial
+
     sc = _scenario(cfg)
     mode, min_gap = _gap_settings(cfg, sc)
     budget = _analyzer_budget(cfg)
@@ -272,6 +252,9 @@ def _write_samples_csv(path, labels, samples):
 
 
 def cmd_subspaces(cfg, args):
+    from .subspaces.generate import SearchParams, generate_subspaces
+    from .subspaces.io import save_subspaces
+
     sc = _scenario(cfg)
     mode, min_gap = _gap_settings(cfg, sc)
     search = SearchParams(budget=_analyzer_budget(cfg), min_gap=min_gap)
@@ -314,6 +297,10 @@ def cmd_subspaces(cfg, args):
 
 
 def cmd_explain(cfg, args):
+    from .explain import emit_dot, emit_json, score_edges
+    from .sampling import SamplingFailure
+    from .subspaces.io import load_subspaces
+
     sc = _scenario(cfg)
     sub_file = cfg.get("subspace_file")
     if sub_file is None:
@@ -355,6 +342,16 @@ def cmd_explain(cfg, args):
 
 
 def cmd_generalize(cfg, args):
+    from .generalize import (
+        InstanceFamily,
+        Predicate,
+        TooFewInstances,
+        evaluate_predicate,
+        generate_instances,
+        trend_to_json,
+    )
+    from .rng import fold
+
     fam_cfg = cfg.get("family")
     if not isinstance(fam_cfg, dict):
         raise ConfigError("generalize needs a 'family' object")
@@ -398,6 +395,11 @@ def cmd_generalize(cfg, args):
 
 
 def cmd_encode_milp(cfg, args):
+    from . import flow
+    from .bridge.encode import encode_milp, milp_to_program, solve_encoded
+    from .bridge.milp_io import load_milp
+    from .solver.branch_bound import solve_mip
+
     path = cfg.get("milp")
     if path is None:
         raise ConfigError("encode-milp needs config entry 'milp'")

@@ -60,12 +60,6 @@ class Heatmap:
                 raise ValueError(
                     f"edge {eid!r}: counts sum to {sc.total}, not {self.n_samples}")
 
-    def mean(self, edge_id):
-        return self.scores[edge_id].mean
-
-    def means(self):
-        return {eid: sc.mean for eid, sc in self.scores.items()}
-
 
 def score_edges(net, evaluate, subspace, space, n_samples=N_SAMPLES, seed=0):
     """Sample `subspace` inside the box `space`; tally per-edge disagreement.

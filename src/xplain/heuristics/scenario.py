@@ -9,7 +9,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .gap import gap
-from .networks import project_edges, te_network, vbp_network
 from .te import (
     ROUTE_ROWS,
     Demand,
@@ -131,6 +130,8 @@ class Scenario:
     @cached_property
     def network(self):
         """The flow network both sides share: for VBP, one bin per ball."""
+        from .networks import te_network, vbp_network  # loads flow: import on use
+
         if self.kind == "te":
             return te_network(self.instance)
         sized = sized_instance(self.instance, self.baseline_inputs())
@@ -138,6 +139,8 @@ class Scenario:
 
     def edge_flows(self, X):
         """(heuristic, benchmark) flows on `network`'s edges, N x E each."""
+        from .networks import project_edges
+
         X = np.asarray(X, dtype=float)
         # row by row: as one stack, a traced fig1a_dp `explain` can end before
         # bench/tracer.py's gauge takes its first sample, after 20 ms of CPU

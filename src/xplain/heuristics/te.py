@@ -178,18 +178,6 @@ def k_shortest_paths(nodes, links, src, dst, k=4):
     return paths[:k]
 
 
-def make_instance(nodes, links, demand_pairs, threshold, k=4):
-    """Build a TeInstance, generating each demand's k shortest paths."""
-    links = tuple(Link(*l) if not isinstance(l, Link) else l for l in links)
-    demands = []
-    for src, dst in demand_pairs:
-        paths = k_shortest_paths(nodes, links, src, dst, k)
-        if not paths:
-            raise ValueError(f"no path from {src} to {dst}")
-        demands.append(Demand(src, dst, tuple(paths), paths[0]))
-    return TeInstance(tuple(nodes), links, tuple(demands), float(threshold))
-
-
 @dataclass(frozen=True)
 class TeAllocation:
     """Per-demand, per-path flows plus the usual aggregates."""

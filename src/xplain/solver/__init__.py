@@ -1,46 +1,17 @@
-"""Exact small-scale optimizer: bounded simplex plus warm-started branch and bound."""
+"""Exact small-scale optimizer: bounded simplex plus warm-started branch and bound.
 
-from .branch_bound import DEFAULT_NODE_LIMIT, solve_mip
-from .lp_format import to_lp_format
-from .parametric import ParametricLP
-from .program import (
-    BINARY,
-    CONTINUOUS,
-    EQ,
-    LE,
-    MAXIMIZE,
-    MINIMIZE,
-    BudgetExceeded,
-    Constraint,
-    ConstraintProgram,
-    NumericalInstability,
-    Solution,
-    SolverError,
-    Variable,
-)
-from .simplex import EPS_FEAS, solve_lp
-from .work import WorkCounts, counting
+Each name is imported on first use.
+"""
 
-__all__ = [
-    "BINARY",
-    "CONTINUOUS",
-    "EQ",
-    "LE",
-    "MAXIMIZE",
-    "MINIMIZE",
-    "BudgetExceeded",
-    "Constraint",
-    "ConstraintProgram",
-    "DEFAULT_NODE_LIMIT",
-    "EPS_FEAS",
-    "NumericalInstability",
-    "ParametricLP",
-    "Solution",
-    "SolverError",
-    "Variable",
-    "WorkCounts",
-    "counting",
-    "solve_lp",
-    "solve_mip",
-    "to_lp_format",
-]
+from .. import _lazy
+
+__all__ = _lazy.export(globals(), {
+    ".branch_bound": ("DEFAULT_NODE_LIMIT", "solve_mip"),
+    ".lp_format": ("to_lp_format",),
+    ".parametric": ("ParametricLP",),
+    ".program": ("BINARY", "CONTINUOUS", "EQ", "LE", "MAXIMIZE", "MINIMIZE",
+                 "BudgetExceeded", "Constraint", "ConstraintProgram",
+                 "NumericalInstability", "Solution", "SolverError", "Variable"),
+    ".simplex": ("EPS_FEAS", "solve_lp"),
+    ".work": ("WorkCounts", "counting"),
+})

@@ -125,27 +125,6 @@ class GapRegressionTree:
         self.n_features_ = X.shape[1]
         return self
 
-    def _leaf_id(self, row):
-        i = 0
-        node = self.tree_[0]
-        while not node.is_leaf:
-            i = (node.left if row[node.feature] <= node.threshold
-                 else node.right)
-            node = self.tree_[i]
-        return i
-
-    def apply(self, X):
-        X = np.asarray(X, dtype=float)
-        return np.array([self._leaf_id(row) for row in X])
-
-    def predict(self, X):
-        X = np.asarray(X, dtype=float)
-        return np.array([self.tree_[self._leaf_id(row)].value for row in X])
-
-    @property
-    def n_leaves(self):
-        return sum(1 for nd in self.tree_ if nd.is_leaf)
-
 
 def fit_regression_tree(samples, features=raw_plus_sum, max_depth=4,
                         min_leaf=30):

@@ -251,7 +251,7 @@ def test_criterion_09_explainer_signs_stable(capsys):
     for seed in range(5):
         hm = score_edges(net, sc.edge_flows, sub,
                          space=sc.space(), n_samples=3000, seed=seed)
-        signs = {eid: np.sign(m) for eid, m in hm.means().items()}
+        signs = {eid: np.sign(sc.mean) for eid, sc in hm.scores.items()}
         ok = ok and all(signs[e] > 0 for e in detour) and signs[pinned] < 0
         if baseline is None:
             baseline = signs

@@ -96,3 +96,23 @@ def test_optimal_te_reaches_solve_lp(monkeypatch):
 def test_optimal_vbp_reaches_solve_mip(name, monkeypatch):
     inst = builtin(name).instance
     assert captures("solve_mip", lambda: optimal_vbp(inst), monkeypatch)
+
+
+def test_a_command_calls_the_binding_patched_on_the_defining_module(tmp_path, monkeypatch):
+    # bench/tracer.py patches each wrapped function where it is defined, after
+    # importing xplain.cli; a command must pick that binding up when it runs
+    import xplain.analyzer
+
+    calls = []
+    original = xplain.analyzer.find_adversarial
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["budget"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(xplain.analyzer, "find_adversarial", spy)
+    cfg = tmp_path / "ff4.json"
+    cfg.write_text('{"scenario": "ff4", "analyzer": {"budget": 20}}')
+    code = xplain.cli.main(["analyze", "--config", str(cfg), "--seed", "7"])
+    assert code in (xplain.cli.EXIT_OK, xplain.cli.EXIT_NOT_FOUND)
+    assert calls == [20]

@@ -69,7 +69,7 @@ def pinnable(fig1a):
 
 def test_dp_fixture_edge_signs(pinnable):
     _, hm = pinnable
-    means = hm.means()
+    means = {eid: sc.mean for eid, sc in hm.scores.items()}
     assert means["assign:1->3:1-2-3"] < 0
     for eid in ("met:1->4", "met:4->5", "met:5->3",
                 "traverse:1-4-5-3:1->4", "traverse:1-4-5-3:4->5",
@@ -82,11 +82,11 @@ def test_dp_fixture_edge_signs(pinnable):
 
 def test_counts_sum_and_mean_formula(pinnable):
     _, hm = pinnable
-    for eid, sc in hm.scores.items():
+    for sc in hm.scores.values():
         total = sc.both + sc.benchmark_only + sc.heuristic_only + sc.neither
         assert total == hm.n_samples
-        assert hm.mean(eid) == (sc.benchmark_only - sc.heuristic_only) / hm.n_samples
-        assert -1.0 <= hm.mean(eid) <= 1.0
+        assert sc.mean == (sc.benchmark_only - sc.heuristic_only) / hm.n_samples
+        assert -1.0 <= sc.mean <= 1.0
         assert sc.mean_abs_flow_delta >= 0.0
 
 
@@ -94,7 +94,7 @@ def test_identical_evaluators_score_zero(fig1a):
     sc, net, ev = fig1a
     sub = Subspace.box([0] * 8, [60] * 8, labels=sc.labels())
     hm = score_edges(net, heuristic_twice(ev), sub, space=sc.space(), n_samples=50, seed=1)
-    assert all(m == 0.0 for m in hm.means().values())
+    assert all(sc.mean == 0.0 for sc in hm.scores.values())
     for es in hm.scores.values():
         assert es.benchmark_only == 0 and es.heuristic_only == 0
         assert es.mean_abs_flow_delta == 0.0
@@ -106,7 +106,7 @@ def test_swapping_evaluators_negates_means(fig1a):
     fwd = score_edges(net, ev, sub, space=sc.space(), n_samples=120, seed=5)
     rev = score_edges(net, swapped(ev), sub, space=sc.space(), n_samples=120, seed=5)
     for eid in fwd.scores:
-        assert rev.mean(eid) == -fwd.mean(eid)
+        assert rev.scores[eid].mean == -fwd.scores[eid].mean
         assert rev.scores[eid].mean_abs_flow_delta == fwd.scores[eid].mean_abs_flow_delta
         assert rev.scores[eid].both == fwd.scores[eid].both
 
@@ -120,9 +120,9 @@ def test_single_sample_hand_trace():
     sub = Subspace.box([0.0], [1.0])
     space = InputSpace(((0.0, 1.0),))
     hm = score_edges(net, evaluate, sub, space=space, n_samples=1, seed=0)
-    assert hm.mean("place:0:0") == -1.0
-    assert hm.mean("place:0:1") == 1.0
-    assert hm.mean("place:1:0") == 0.0
+    assert hm.scores["place:0:0"].mean == -1.0
+    assert hm.scores["place:0:1"].mean == 1.0
+    assert hm.scores["place:1:0"].mean == 0.0
     assert hm.scores["occupied:0"].heuristic_only == 1
     assert hm.scores["occupied:1"].benchmark_only == 1
 
@@ -136,9 +136,9 @@ def test_flow_threshold_is_strict():
     space = InputSpace(((0.0, 1.0),))
     hm = score_edges(net, evaluate, sub, space=space, n_samples=1, seed=0)
     # sub-threshold flow counts as "no flow"
-    assert hm.mean("place:0:0") == 1.0
+    assert hm.scores["place:0:0"].mean == 1.0
     at = stub(net, {"place:0:0": EPS_FLOW}, {"place:0:0": 0.5})
-    assert score_edges(net, at, sub, space=space, n_samples=1, seed=0).mean("place:0:0") == 1.0
+    assert score_edges(net, at, sub, space=space, n_samples=1, seed=0).scores["place:0:0"].mean == 1.0
 
 
 def test_determinism_per_seed(fig1a):
@@ -289,7 +289,7 @@ def test_json_is_valid_and_sorted(pinnable):
     keys = list(doc["edges"])
     assert keys == sorted(keys)
     rec = doc["edges"]["met:1->4"]
-    assert rec["mean"] == hm.mean("met:1->4")
+    assert rec["mean"] == hm.scores["met:1->4"].mean
 
 
 # scenario glue

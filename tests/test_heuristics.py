@@ -16,7 +16,6 @@ from xplain.heuristics import (
     gap,
     k_shortest_paths,
     load_scenario,
-    make_instance,
     min_bins,
     optimal_te,
     optimal_vbp,
@@ -41,6 +40,15 @@ from xplain.solver import LE, ConstraintProgram, Solution, SolverError, counting
 @pytest.fixture(scope="module")
 def fig1a():
     return builtin("fig1a_dp")
+
+
+def te_instance(nodes, links, demand_pairs, threshold):
+    """A TeInstance as a scenario file gives it: each demand on its 4 shortest paths."""
+    return scenario_from_dict({
+        "kind": "te", "nodes": nodes, "threshold": threshold,
+        "links": [{"src": s, "dst": d, "capacity": c} for s, d, c in links],
+        "demands": [{"src": s, "dst": d} for s, d in demand_pairs],
+    }).instance
 
 
 def paper_demands(sc):
@@ -89,7 +97,7 @@ def test_dp_pins_at_threshold_inclusive(fig1a):
 
 def test_dp_clamps_pin_to_residual():
     # two pinned demands share one capacity-5 link; the second gets what's left
-    inst = make_instance(
+    inst = te_instance(
         ["a", "b", "c"], [("a", "b", 5.0), ("b", "c", 5.0)],
         [("a", "b"), ("a", "c")], threshold=10.0)
     alloc = run_dp(inst, [4.0, 3.0])
@@ -119,7 +127,7 @@ def test_optimal_te_reroutes_long_way(fig1a):
 
 def test_optimal_te_trivial_cases(fig1a):
     assert optimal_te(fig1a.instance, np.zeros(8)).total == pytest.approx(0.0)
-    inst = make_instance(["a", "b"], [("a", "b", 10.0)], [("a", "b")], 0.0)
+    inst = te_instance(["a", "b"], [("a", "b", 10.0)], [("a", "b")], 0.0)
     assert optimal_te(inst, [4.0]).total == pytest.approx(4.0)
 
 
@@ -370,7 +378,7 @@ def test_row_wise_pinning_and_totals_match_the_loop_reference(fig1a):
 
 def test_te_instance_rejects_a_link_listed_twice():
     with pytest.raises(ValueError, match="twice"):
-        make_instance(["a", "b"], [("a", "b", 5.0), ("a", "b", 7.0)], [("a", "b")], 1.0)
+        te_instance(["a", "b"], [("a", "b", 5.0), ("a", "b", 7.0)], [("a", "b")], 1.0)
 
 
 # --- first-fit --------------------------------------------------------------
@@ -769,7 +777,7 @@ def test_te_network_routes_250(fig1a):
 
 
 def test_te_network_zero_demands_is_empty_shell():
-    inst = make_instance(["a", "b"], [("a", "b", 1.0)], [], 0.0)
+    inst = te_instance(["a", "b"], [("a", "b", 1.0)], [], 0.0)
     net = te_network(inst)
     assert validate(net) == []
     assert not [n for n, m in net.node_metadata.items() if m["role"] == "demand"]

@@ -138,7 +138,7 @@ def test_tree_recovers_sum_and_coordinate_thresholds():
 
 def test_tree_constant_target_is_single_leaf():
     tree = fit_regression_tree([((0.1, 0.2), 3.0), ((0.5, 0.6), 3.0)])
-    assert tree.n_leaves == 1
+    assert len(tree.tree_) == 1 and tree.tree_[0].is_leaf
     T, V = extract_path_predicates(tree, (0.1, 0.2))
     assert T.shape == (0, 2)
     assert V.shape == (0,)
@@ -160,21 +160,29 @@ def test_tree_zero_samples_raise():
         GapRegressionTree().fit(np.zeros((0, 2)), [])
 
 
+def leaf_of(tree, row):
+    """The index in tree.tree_ of the leaf that `row` falls in."""
+    i = 0
+    while not tree.tree_[i].is_leaf:
+        node = tree.tree_[i]
+        i = node.left if row[node.feature] <= node.threshold else node.right
+    return i
+
+
 def test_tree_estimator_interface():
     tree = GapRegressionTree(max_depth=2, min_leaf=5)
     rng = np.random.default_rng(2)
     X = rng.random((300, 2))
     y = (X[:, 0] > 0.5).astype(float) * 2.0
-    tree.fit(X, y)
-    leaves = tree.apply(X)
+    assert tree.fit(X, y) is tree
+    leaves = np.array([leaf_of(tree, row) for row in X])
     for leaf in np.unique(leaves):
         members = y[leaves == leaf]
         assert len(members) >= 5
         node = tree.tree_[leaf]
+        assert node.is_leaf
         assert node.count == len(members)
         assert node.value == pytest.approx(members.mean())
-    assert np.allclose(tree.predict(X),
-                       [tree.tree_[l].value for l in leaves])
 
 
 def test_tree_depth_one_gives_single_row():
