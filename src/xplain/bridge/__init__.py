@@ -1,6 +1,6 @@
 """Bridge between flow networks and constraint programs, both directions."""
 
-from .compile import UnsupportedBehavior, compile_network
+from .compile import compile_network
 from .encode import (
     EncodingTrace,
     Milp,
@@ -9,10 +9,8 @@ from .encode import (
     solve_encoded,
 )
 from .milp_io import load_milp, milp_from_dict
-from .simplify import SimplifiedProgram, simplify
 
 __all__ = [
-    "UnsupportedBehavior",
     "compile_network",
     "EncodingTrace",
     "Milp",
@@ -21,6 +19,4 @@ __all__ = [
     "solve_encoded",
     "load_milp",
     "milp_from_dict",
-    "SimplifiedProgram",
-    "simplify",
 ]

@@ -21,10 +21,6 @@ from ..flow import (
 from ..solver import EQ, MAXIMIZE, MINIMIZE, ConstraintProgram
 
 
-class UnsupportedBehavior(Exception):
-    pass
-
-
 def compile_network(net, objective_sink=None, inputs=None):
     """Compile `net` to a ConstraintProgram.
 
@@ -80,10 +76,7 @@ def compile_network(net, objective_sink=None, inputs=None):
                 coeffs = {i: 1.0 for i in ins}
                 coeffs[j] = coeffs.get(j, 0.0) - 1.0
                 prog.add_constraint(coeffs, EQ, 0.0)
-        elif isinstance(beh, Sink):
-            pass
-        else:
-            raise UnsupportedBehavior(f"node {nid!r}: {type(beh).__name__}")
+        # a Sink adds no row; validate rejected every other behavior
 
     if objective_sink is not None:
         sink = net.nodes[objective_sink]

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._validation import check_array_1d, check_matrix
+from .._validation import check_array_1d, check_matrix, check_scalar
 from ..flow import (
     AllEqual,
     FlowNetwork,
@@ -98,22 +98,11 @@ class Milp:
 
 @dataclass
 class EncodingTrace:
-    """Bookkeeping produced alongside the encoded network."""
+    """What maps the encoded network's optimum back onto the MILP."""
 
-    a_x_pos: np.ndarray = None
-    a_x_neg: np.ndarray = None
-    a_y_pos: np.ndarray = None
-    a_y_neg: np.ndarray = None
-    b_pos: np.ndarray = None
-    b_neg: np.ndarray = None
+    objective_shift: float
+    sense: str
     var_edges: dict = field(default_factory=dict)   # "x0"/"y1"/"p" -> feed edge id
-    row_nodes: list = field(default_factory=list)
-    slack_edges: list = field(default_factory=list)
-    u_pos: dict = field(default_factory=dict)       # (row, var key) -> edge id
-    u_neg: dict = field(default_factory=dict)
-    objective_edge: str = ""
-    objective_shift: float = 0.0
-    sense: str = "max"
 
     def original_objective(self, sink_value):
         """Map the objective sink's optimal inflow back to the MILP optimum."""
@@ -144,8 +133,7 @@ def encode_milp(milp, objective_shift=0.0):
     (optimum of milp normalized to max) + objective_shift.
     Integer non-binary variables are not representable here.
     """
-    if objective_shift < 0:
-        raise ValueError("objective_shift must be >= 0")
+    objective_shift = check_scalar(objective_shift, "objective_shift", low=0.0)
     m0 = milp.expand_equalities()
     flip = m0.sense == "min"
     c_x = -m0.c_x if flip else m0.c_x
@@ -168,12 +156,7 @@ def encode_milp(milp, objective_shift=0.0):
     b_pos, b_neg = _decompose(rhs)
 
     net = FlowNetwork()
-    trace = EncodingTrace(
-        a_x_pos=ax_pos[:, :nx], a_x_neg=ax_neg[:, :nx],
-        a_y_pos=ay_pos, a_y_neg=ay_neg,
-        b_pos=b_pos, b_neg=b_neg,
-        objective_shift=float(objective_shift), sense=milp.sense,
-    )
+    trace = EncodingTrace(objective_shift, milp.sense)
 
     net.add_node("origin", Source(Split()), metadata={"role": "supply"})
     net.add_node("drain", Sink(), metadata={"role": "absorber"})
@@ -198,10 +181,7 @@ def encode_milp(milp, objective_shift=0.0):
     for i in range(n_rows):
         row = f"row{i}"
         net.add_node(row, Split(), metadata={"role": "constraint"})
-        trace.row_nodes.append(row)
-        slack = f"slack:{i}"
-        net.add_edge(slack, "origin", row)
-        trace.slack_edges.append(slack)
+        net.add_edge(f"slack:{i}", "origin", row)
         if b_neg[i] > 0:
             net.add_edge(f"const_in:{i}", "origin", row, fixed_rate=float(b_neg[i]))
         if b_pos[i] > 0:
@@ -214,16 +194,12 @@ def encode_milp(milp, objective_shift=0.0):
                 mul = f"mul_pos:{i}:{key}"
                 net.add_node(mul, Multiply(float(a_pos)), metadata={"role": "coef"})
                 net.add_edge(f"occ_pos:{i}:{key}", key, mul)
-                eid = f"u_pos:{i}:{key}"
-                net.add_edge(eid, mul, row)
-                trace.u_pos[(i, key)] = eid
+                net.add_edge(f"u_pos:{i}:{key}", mul, row)
             if a_neg > 0:
                 mul = f"mul_neg:{i}:{key}"
                 net.add_node(mul, Multiply(float(1.0 / a_neg)), metadata={"role": "coef"})
-                eid = f"u_neg:{i}:{key}"
-                net.add_edge(eid, row, mul)
+                net.add_edge(f"u_neg:{i}:{key}", row, mul)
                 net.add_edge(f"occ_neg:{i}:{key}", mul, key)
-                trace.u_neg[(i, key)] = eid
 
         for j in range(nx):
             occurrence(f"x{j}", j, ax_pos, ax_neg)
@@ -231,7 +207,6 @@ def encode_milp(milp, objective_shift=0.0):
         for j in range(ny):
             occurrence(f"y{j}", j, ay_pos, ay_neg)
 
-    trace.objective_edge = "p:objective"
     net.add_edge("p:objective", "p", "objective")
     return net, trace
 
@@ -268,15 +243,14 @@ def milp_to_program(milp):
     return prog
 
 
-def solve_encoded(milp, objective_shift=0.0):
-    """Encode, optimize the network, and map the result back.
+def solve_encoded(net, trace):
+    """Optimize a network from encode_milp and map the result back.
 
     Returns (objective value in the MILP's own sense, x dict, y dict,
     FlowAssignment). Raises flow.Infeasible / flow.Unbounded as evaluate does.
     """
     from ..flow import evaluate
 
-    net, trace = encode_milp(milp, objective_shift=objective_shift)
     sink_value, assignment = evaluate(net, {}, "objective")
     x, y = trace.extract_solution(assignment)
     return trace.original_objective(sink_value), x, y, assignment

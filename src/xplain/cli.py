@@ -135,10 +135,10 @@ def _growth_params(cfg):
                "min_leaf") if k in sec}
     try:
         growth = SubspaceParams(**kwargs)
-    except ValueError as exc:
+        limits = Limits(max_subspaces=sec.get("max_subspaces", 8),
+                        max_iterations=sec.get("max_iterations", 50))
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    limits = Limits(max_subspaces=sec.get("max_subspaces", 8),
-                    max_iterations=sec.get("max_iterations", 50))
     return growth, limits
 
 
@@ -150,7 +150,7 @@ def _stats_params(cfg):
         return StatsParams(n_pairs=sec.get("n_pairs"),
                            alpha=sec.get("alpha", 0.05),
                            margin=sec.get("margin", 0.025))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -396,6 +396,7 @@ def cmd_generalize(cfg, args):
 
 def cmd_encode_milp(cfg, args):
     from . import flow
+    from ._validation import check_scalar
     from .bridge.encode import encode_milp, milp_to_program, solve_encoded
     from .bridge.milp_io import load_milp
     from .solver.branch_bound import solve_mip
@@ -407,9 +408,13 @@ def cmd_encode_milp(cfg, args):
         milp = load_milp(path)
     except (OSError, ValueError, KeyError) as exc:
         raise ConfigError(f"cannot load MILP from {path!r}: {exc}") from exc
-    shift = float(cfg.get("objective_shift", 0.0))
+    try:
+        shift = check_scalar(cfg.get("objective_shift", 0.0),
+                             "objective_shift", low=0.0)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
-    net, _trace = encode_milp(milp, objective_shift=shift)
+    net, trace = encode_milp(milp, objective_shift=shift)
     out = _out_dir(args)
     net_path = out / "network.json"
     net_path.write_text(flow.to_json(net) + "\n")
@@ -423,7 +428,7 @@ def cmd_encode_milp(cfg, args):
         "raw": {"status": raw.status, "objective": raw.objective},
     }
     try:
-        value, x, y, _ = solve_encoded(milp, objective_shift=shift)
+        value, x, y, _ = solve_encoded(net, trace)
         report["encoded"] = {"status": "optimal", "objective": value,
                              "x": x, "y": y}
     except flow.Infeasible:

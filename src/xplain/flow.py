@@ -102,9 +102,6 @@ class Edge:
         if self.fixed_rate is not None:
             check_scalar(self.fixed_rate, f"edge {self.id!r} fixed_rate", low=0.0)
 
-    def meta(self):
-        return dict(self.metadata)
-
 
 def _as_meta(mapping):
     if not mapping:
@@ -206,20 +203,16 @@ def evaluate(net, inputs, objective_sink):
         if src not in net.nodes or not isinstance(net.nodes[src], Source):
             raise FlowError(f"input target {src!r} is not a Source node")
 
-    from .bridge import compile_network, simplify
-    from .solver import solve_mip
+    from .bridge.compile import compile_network
+    from .solver.branch_bound import solve_mip
 
-    prog = compile_network(net, objective_sink, inputs=inputs)
-    simp = simplify(prog)
-    sol = solve_mip(simp.program)
+    sol = solve_mip(compile_network(net, objective_sink, inputs=inputs))
     if sol.status == "infeasible":
         raise Infeasible("no feasible flow assignment")
     if sol.status == "unbounded":
         raise Unbounded("objective unbounded")
-    values = simp.expand(sol.values)
-    assignment = {e.id: float(values[i]) for i, e in enumerate(net.edges)}
-    objective = sol.objective + simp.objective_offset
-    return float(objective), assignment
+    assignment = {e.id: float(sol.values[i]) for i, e in enumerate(net.edges)}
+    return float(sol.objective), assignment
 
 
 # --- JSON serialization ----------------------------------------------------

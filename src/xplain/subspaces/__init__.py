@@ -7,7 +7,7 @@ from .generate import (
     Subspace,
     generate_subspaces,
 )
-from .grow import RoughBox, SliceGrid, SubspaceParams, grow_rough_subspace
+from .grow import RoughBox, SubspaceParams, grow_rough_subspace
 from .io import (
     load_subspaces,
     save_subspaces,
@@ -28,7 +28,6 @@ __all__ = [
     "Limits",
     "RoughBox",
     "SearchParams",
-    "SliceGrid",
     "StatsParams",
     "Subspace",
     "SubspaceParams",

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .._validation import check_scalar
 from ..analyzer import (
     EPS_MEM,
     ExclusionSet,
@@ -105,6 +106,10 @@ class SearchParams:
     min_gap: float = 0.0
 
 
+def _positive_int(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass(frozen=True)
 class StatsParams:
     """Significance-check settings; n_pairs=None means the DKW default."""
@@ -114,14 +119,23 @@ class StatsParams:
     margin: float = 0.025
 
     def __post_init__(self):
+        if self.n_pairs is not None and not _positive_int(self.n_pairs):
+            raise ValueError("n_pairs must be null or a positive integer")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        check_scalar(self.margin, "margin", low=0.0, inclusive_low=False)
 
 
 @dataclass(frozen=True)
 class Limits:
     max_subspaces: int = 8
     max_iterations: int = 50
+
+    def __post_init__(self):
+        if not _positive_int(self.max_subspaces):
+            raise ValueError("max_subspaces must be a positive integer")
+        if not _positive_int(self.max_iterations):
+            raise ValueError("max_iterations must be a positive integer")
 
 
 def _sample_stats(samples, subspace, bad_threshold):

@@ -7,14 +7,14 @@ result is the box part of a candidate subspace plus every labeled sample
 seen on the way, which later feeds the regression tree.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..analyzer import evaluate_gaps
 from ..rng import substream
 
-__all__ = ["RoughBox", "SliceGrid", "SubspaceParams", "grow_rough_subspace"]
+__all__ = ["RoughBox", "SubspaceParams", "grow_rough_subspace"]
 
 
 @dataclass(frozen=True)
@@ -51,26 +51,12 @@ class SubspaceParams:
             raise ValueError("tree limits must be positive")
 
 
-@dataclass
-class SliceGrid:
-    """Per axis direction: extent grown, last shell density, frozen flag.
-
-    Directions are indexed 2*dim for the positive side and 2*dim + 1 for
-    the negative side.
-    """
-
-    extents: np.ndarray
-    densities: np.ndarray
-    frozen: np.ndarray
-
-
 @dataclass(frozen=True)
 class RoughBox:
-    """Axis-aligned box with its growth bookkeeping."""
+    """Axis-aligned box grown around a seed."""
 
     lo: tuple
     hi: tuple
-    grid: SliceGrid = field(compare=False)
 
     @property
     def A(self):
@@ -98,8 +84,7 @@ def grow_rough_subspace(seed, space, gap_fn, params=None, seed_rng=0):
     width = params.delta * ranges
 
     n = space.n
-    extents = np.zeros(2 * n)
-    densities = np.full(2 * n, np.nan)
+    # direction 2*dim grows the upper side, 2*dim + 1 the lower side
     frozen = np.zeros(2 * n, dtype=bool)
     samples = [(tuple(float(v) for v in x0), float(seed.gap))]
 
@@ -128,9 +113,7 @@ def grow_rough_subspace(seed, space, gap_fn, params=None, seed_rng=0):
                     (tuple(float(v) for v in p), float(g))
                     for p, g in zip(pts, gaps))
                 density = float(np.mean(gaps >= threshold - 1e-12))
-                densities[k] = density
                 if density >= params.rho_min:
-                    extents[k] += shell_hi - shell_lo
                     if sign > 0:
                         hi[dim] = shell_hi
                         if hi[dim] >= space.highs[dim] - 1e-15:
@@ -144,6 +127,5 @@ def grow_rough_subspace(seed, space, gap_fn, params=None, seed_rng=0):
         round_idx += 1
 
     box = RoughBox(lo=tuple(float(v) for v in lo),
-                   hi=tuple(float(v) for v in hi),
-                   grid=SliceGrid(extents, densities, frozen))
+                   hi=tuple(float(v) for v in hi))
     return box, samples

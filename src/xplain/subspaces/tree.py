@@ -24,7 +24,7 @@ class DegenerateData(ValueError):
 
 
 def raw_plus_sum(X):
-    """Default feature map: every raw input plus their sum."""
+    """The tree's feature map: every raw input plus their sum."""
     X = np.asarray(X, dtype=float)
     return np.hstack([X, X.sum(axis=1, keepdims=True)])
 
@@ -126,16 +126,15 @@ class GapRegressionTree:
         return self
 
 
-def fit_regression_tree(samples, features=raw_plus_sum, max_depth=4,
-                        min_leaf=30):
-    """Fit a GapRegressionTree on (x, gap) pairs through a feature map."""
+def fit_regression_tree(samples, max_depth=4, min_leaf=30):
+    """Fit a GapRegressionTree on (x, gap) pairs over raw_plus_sum."""
     samples = list(samples)
     if not samples:
         raise DegenerateData("cannot fit a tree on zero samples")
     X = np.array([list(x) for x, _ in samples], dtype=float)
     y = np.array([g for _, g in samples], dtype=float)
     return GapRegressionTree(max_depth=max_depth, min_leaf=min_leaf).fit(
-        features(X), y)
+        raw_plus_sum(X), y)
 
 
 def _feature_row(feature, n_raw):

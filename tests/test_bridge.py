@@ -1,4 +1,4 @@
-"""Bridge: network compilation, program simplification, MILP encoding."""
+"""Bridge: network compilation and MILP encoding."""
 
 import json
 
@@ -11,12 +11,12 @@ from xplain.bridge import (
     encode_milp,
     load_milp,
     milp_to_program,
-    simplify,
     solve_encoded,
 )
 from xplain.flow import (
     AllEqual,
     Copy,
+    FlowError,
     FlowNetwork,
     Multiply,
     Pick,
@@ -26,7 +26,7 @@ from xplain.flow import (
     evaluate,
     validate,
 )
-from xplain.solver import EQ, LE, solve_lp, solve_mip
+from xplain.solver import EQ, LE, solve_mip
 
 from oracles import assignment_violations, milp_oracle
 
@@ -106,42 +106,7 @@ def test_compile_copy_equals_split_all_equal_pair():
         assert v1 == pytest.approx(r1 + r2, abs=1e-6)
 
 
-# --- simplify ---------------------------------------------------------------
-
-def test_simplify_collapses_all_equal_chain():
-    net = FlowNetwork()
-    net.add_node("s", Source(Split()))
-    net.add_node("a", AllEqual())
-    net.add_node("b", AllEqual())
-    net.add_node("c", AllEqual())
-    net.add_node("t", Sink())
-    net.add_edge("e0", "s", "a", capacity=5.0)
-    net.add_edge("e1", "a", "b")
-    net.add_edge("e2", "b", "c")
-    net.add_edge("e3", "c", "t")
-    prog = compile_network(net, "t")
-    simp = simplify(prog)
-    assert len(simp.program.variables) <= len(prog.variables) - 2
-    sol = solve_mip(simp.program)
-    assert sol.objective + simp.objective_offset == pytest.approx(5.0)
-    full = simp.expand(sol.values)
-    asg = {e.id: full[i] for i, e in enumerate(net.edges)}
-    assert assignment_violations(net, asg) == []
-
-
-def test_simplify_drops_unused_variable():
-    from xplain.solver import ConstraintProgram
-
-    prog = ConstraintProgram(sense="max")
-    prog.add_variable("used", upper=3.0)
-    prog.add_variable("idle")
-    prog.set_objective({"used": 1.0})
-    simp = simplify(prog)
-    assert [v.name for v in simp.program.variables] == ["used"]
-    sol = solve_lp(simp.program)
-    assert sol.objective + simp.objective_offset == pytest.approx(3.0)
-    assert simp.expand(sol.values)[1] == 0.0
-
+# --- evaluate ---------------------------------------------------------------
 
 def _random_network(rng):
     """Small random layered network; always structurally valid."""
@@ -188,25 +153,21 @@ def _random_network(rng):
     return net, inputs
 
 
-def test_simplify_differential_on_random_networks():
+def test_evaluate_assignment_on_random_networks():
+    # the assignment read back from the solved program is a feasible flow
+    # whose sink inflow is the reported objective
     rng = np.random.default_rng(20240906)
     checked = 0
     for _ in range(50):
         net, inputs = _random_network(rng)
         assert validate(net) == []
-        prog = compile_network(net, "t", inputs=inputs)
-        simp = simplify(prog)
-
-        sol_full = solve_mip(prog)
-        sol_red = solve_mip(simp.program)
-        assert sol_full.status == sol_red.status, f"status split on {net}"
-        if sol_full.status != "optimal":
+        try:
+            value, asg = evaluate(net, inputs, "t")
+        except FlowError:
             continue
-        red_val = sol_red.objective + simp.objective_offset
-        assert red_val == pytest.approx(sol_full.objective, abs=1e-6)
-        full = simp.expand(sol_red.values)
-        asg = {e.id: full[i] for i, e in enumerate(net.edges)}
         assert assignment_violations(net, asg) == []
+        inflow = sum(asg[e.id] for e in net.in_edges("t"))
+        assert value == pytest.approx(inflow, abs=1e-6)
         checked += 1
     assert checked >= 20
 
@@ -216,7 +177,7 @@ def test_simplify_differential_on_random_networks():
 def test_encode_single_upper_bound():
     m = Milp(np.array([1.0]), np.zeros(0), np.array([[1.0]]),
              np.zeros((1, 0)), np.array([5.0]), [LE])
-    value, x, _, _ = solve_encoded(m)
+    value, x, _, _ = solve_encoded(*encode_milp(m))
     assert value == pytest.approx(5.0)
     assert x["x0"] == pytest.approx(5.0)
 
@@ -224,44 +185,57 @@ def test_encode_single_upper_bound():
 def test_encode_unconstrained_binary():
     m = Milp(np.zeros(0), np.array([1.0]), np.zeros((0, 0)),
              np.zeros((0, 1)), np.zeros(0), [])
-    value, _, y, _ = solve_encoded(m)
+    value, _, y, _ = solve_encoded(*encode_milp(m))
     assert value == pytest.approx(1.0)
     assert y["y0"] == pytest.approx(1.0)
 
 
 def test_encode_decomposition_invariant():
+    # each row's multiply factors (a+ forward, 1/a- backward) and constant
+    # feeds rebuild that row of A and b, with at most one side per entry
     m = Milp(np.array([1.0, -2.0]), np.array([3.0]),
              np.array([[1.5, -0.5], [-1.0, 2.0]]), np.array([[1.0], [-2.0]]),
              np.array([4.0, -1.0]), [LE, LE])
-    _, trace = encode_milp(m)
-    for pos, neg, orig in (
-        (trace.a_x_pos[:2], trace.a_x_neg[:2], m.A_x),
-        (trace.a_y_pos[:2], trace.a_y_neg[:2], m.A_y),
-        (trace.b_pos[:2], trace.b_neg[:2], m.b),
-    ):
-        assert np.all(pos >= 0) and np.all(neg >= 0)
-        assert np.all((pos == 0) | (neg == 0))
-        np.testing.assert_allclose(pos - neg, orig)
+    net, _ = encode_milp(m)
+    rates = {e.id: e.fixed_rate for e in net.edges}
+
+    def coefficient(i, key):
+        pos = net.nodes.get(f"mul_pos:{i}:{key}")
+        neg = net.nodes.get(f"mul_neg:{i}:{key}")
+        assert pos is None or neg is None
+        return (pos.factor if pos else 0.0) - (1.0 / neg.factor if neg else 0.0)
+
+    for i in range(2):
+        np.testing.assert_allclose(
+            [coefficient(i, f"x{j}") for j in range(m.n_x)], m.A_x[i])
+        np.testing.assert_allclose(
+            [coefficient(i, f"y{j}") for j in range(m.n_y)], m.A_y[i])
+        b_out = rates.get(f"const_out:{i}") or 0.0
+        b_in = rates.get(f"const_in:{i}") or 0.0
+        assert b_out == 0.0 or b_in == 0.0
+        assert b_out - b_in == pytest.approx(m.b[i])
 
 
 def test_encode_structure_per_row_and_binary():
     m = Milp(np.array([2.0]), np.array([1.0]),
              np.array([[1.0]]), np.array([[-3.0]]),
              np.array([2.0]), [LE])
-    net, trace = encode_milp(m)
+    net, _ = encode_milp(m)
     assert validate(net) == []
     # row 0 split: slack inflow, positive occurrence in, negative occurrence out
     assert isinstance(net.nodes["row0"], Split)
-    assert trace.slack_edges[0] == "slack:0"
-    assert (0, "x0") in trace.u_pos
-    assert (0, "y0") in trace.u_neg
+    edges = {e.id: e for e in net.edges}
+    assert (edges["slack:0"].tail, edges["slack:0"].head) == ("origin", "row0")
+    assert (edges["u_pos:0:x0"].tail, edges["u_pos:0:x0"].head) == (
+        "mul_pos:0:x0", "row0")
+    assert (edges["u_neg:0:y0"].tail, edges["u_neg:0:y0"].head) == (
+        "row0", "mul_neg:0:y0")
     # multiply factors: a+ forward, 1/a- backward
     assert net.nodes["mul_pos:0:x0"] == Multiply(1.0)
     assert net.nodes["mul_neg:0:y0"] == Multiply(1.0 / 3.0)
     # binary pick: unit feed plus two outgoing edges
     pick = net.nodes["y0:pick"]
     assert isinstance(pick, Pick)
-    edges = {e.id: e for e in net.edges}
     unit = edges["y0:unit"]
     assert unit.fixed_rate == 1.0
     outs = {e.id for e in net.out_edges("y0:pick")}
@@ -287,14 +261,14 @@ def test_encode_equality_rows_expand_to_two():
     assert expanded.row_sense == [LE, LE]
     np.testing.assert_allclose(expanded.A_x, [[1.0], [-1.0]])
     np.testing.assert_allclose(expanded.b, [3.0, -3.0])
-    value, _, _, _ = solve_encoded(m)
+    value, _, _, _ = solve_encoded(*encode_milp(m))
     assert value == pytest.approx(3.0)
 
 
 def test_encode_min_sense_maps_back():
     m = Milp(np.array([1.0]), np.zeros(0), np.array([[-1.0]]),
              np.zeros((1, 0)), np.array([-2.0]), [LE], "min")
-    value, x, _, _ = solve_encoded(m, objective_shift=5.0)
+    value, x, _, _ = solve_encoded(*encode_milp(m, objective_shift=5.0))
     assert value == pytest.approx(2.0)
     assert x["x0"] == pytest.approx(2.0)
 
@@ -366,7 +340,7 @@ def test_encoded_assignment_satisfies_network():
              np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([[2.0], [1.0]]),
              np.array([6.0, 3.0]), [LE, LE])
     net, trace = encode_milp(m)
-    value, x, y, asg = solve_encoded(m)
+    value, x, y, asg = solve_encoded(net, trace)
     assert assignment_violations(net, asg) == []
     # extracted point is feasible for the original rows
     z = np.array([x["x0"], x["x1"], y["y0"]])
@@ -387,7 +361,7 @@ def test_encode_against_independent_enumeration_oracle():
         )
         if status != "optimal" or value < 0:
             continue
-        got, _, _, _ = solve_encoded(m)
+        got, _, _, _ = solve_encoded(*encode_milp(m))
         assert got == pytest.approx(value, abs=1e-6)
         done += 1
 

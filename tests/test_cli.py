@@ -204,6 +204,24 @@ def test_subspaces_none_found_exits_3(tmp_path, capsys):
     assert load_subspaces(out_dir / "subspaces.json") == []
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("subspaces", "max_subspaces", "two"),
+    ("subspaces", "max_iterations", -3),
+    ("stats", "n_pairs", 0),
+    ("stats", "margin", -1),
+], ids=["max_subspaces-two", "max_iterations-negative", "n_pairs-zero",
+        "margin-negative"])
+def test_subspaces_bad_limit_is_config_error(tmp_path, capsys, section, key,
+                                             value):
+    cfg_doc = dict(SUBS_CFG)
+    cfg_doc[section] = dict(SUBS_CFG[section], **{key: value})
+    cfg = write_config(tmp_path, "c.json", cfg_doc)
+    code, out = run_cli(capsys, "subspaces", "--config", cfg, "--seed", "2",
+                        "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert out == ""
+
+
 def test_subspaces_rerun_identical(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", SUBS_CFG)
     out_dir = tmp_path / "out"
@@ -379,6 +397,19 @@ def test_encode_milp_rerun_identical(tmp_path, capsys):
                         "--out", str(out_dir))
     assert first == second
     assert (out_dir / "network.json").read_bytes() == snap
+
+
+@pytest.mark.parametrize("shift", [-1.0, "two", "inf", "nan"],
+                         ids=["negative", "non-numeric", "inf", "nan"])
+def test_encode_milp_bad_objective_shift_is_config_error(tmp_path, capsys,
+                                                        shift):
+    milp = write_config(tmp_path, "m.json", MILP_DOC)
+    cfg = write_config(tmp_path, "c.json",
+                       {"milp": milp, "objective_shift": shift})
+    code, out = run_cli(capsys, "encode-milp", "--config", cfg, "--seed", "1",
+                        "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert out == ""
 
 
 def test_encode_milp_missing_file(tmp_path, capsys):

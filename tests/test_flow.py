@@ -366,7 +366,7 @@ def test_json_round_trip_preserves_structure_and_value():
     edges = {e.id: e for e in back.edges}
     assert edges["e2"].capacity == 9.0
     assert edges["e5"].fixed_rate == 4.0
-    assert edges["e1"].meta() == {"kind": "supply"}
+    assert dict(edges["e1"].metadata) == {"kind": "supply"}
     assert back.node_metadata.get("s") == {"role": "supply"}
     assert to_json(back) == text
 

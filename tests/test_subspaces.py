@@ -66,7 +66,6 @@ def test_grow_constant_gap_fills_the_space():
                                  lambda x: 2.0, seed_rng=0)
     assert box.lo[0] == 0.0
     assert box.hi[0] == 1.0
-    assert box.grid.frozen.all()
 
 
 def test_grow_first_fit_box_matches_printed_shape():
@@ -189,8 +188,8 @@ def test_tree_depth_one_gives_single_row():
     rng = np.random.default_rng(3)
     X = rng.random((400, 1))
     y = (X[:, 0] >= 0.5).astype(float)
-    tree = fit_regression_tree(zip(map(tuple, X), y), features=lambda Z: Z,
-                               max_depth=1, min_leaf=30)
+    tree = fit_regression_tree(zip(map(tuple, X), y), max_depth=1,
+                               min_leaf=30)
     T, V = extract_path_predicates(tree, (0.2,))
     assert T.shape == (1, 1)
     assert T[0][0] == 1.0   # seed sits on the <= side
