@@ -126,6 +126,13 @@ def _decompose(M):
     return pos, neg
 
 
+def needed_shift(milp, optimum):
+    """The smallest objective_shift that encodes `milp`, whose optimum is
+    `optimum`: the encoding keeps c.z + shift >= 0 with c.z as a maximum."""
+    best = optimum if milp.sense == "max" else -optimum
+    return max(0.0, -best)
+
+
 def encode_milp(milp, objective_shift=0.0):
     """Encode `milp` as (FlowNetwork, EncodingTrace).
 

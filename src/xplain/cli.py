@@ -8,7 +8,8 @@ output and to files under --out.
 
 Exit codes: 0 success, 1 bad configuration, 2 internal failure,
 3 nothing found (no adversarial point, no significant subspace, trend
-does not hold, or the target region cannot be sampled).
+does not hold, or the target region cannot be sampled). An internal
+failure logs its traceback to standard error.
 
 Each command imports what it runs when it starts, so a command pays for
 its own modules only; a function is imported from the module that defines
@@ -397,7 +398,7 @@ def cmd_generalize(cfg, args):
 def cmd_encode_milp(cfg, args):
     from . import flow
     from ._validation import check_scalar
-    from .bridge.encode import encode_milp, milp_to_program, solve_encoded
+    from .bridge.encode import encode_milp, milp_to_program, needed_shift, solve_encoded
     from .bridge.milp_io import load_milp
     from .solver.branch_bound import solve_mip
 
@@ -435,6 +436,10 @@ def cmd_encode_milp(cfg, args):
         report["encoded"] = {"status": "infeasible", "objective": None}
     except flow.Unbounded:
         report["encoded"] = {"status": "unbounded", "objective": None}
+    if raw.status == "optimal" and report["encoded"]["status"] == "infeasible":
+        need = needed_shift(milp, raw.objective)
+        if need > shift:
+            report["needed_shift"] = need
     if raw.status == "optimal" and report["encoded"]["status"] == "optimal":
         report["agreement"] = bool(
             abs(raw.objective - report["encoded"]["objective"]) <= 1e-6)
@@ -492,8 +497,8 @@ def main(argv=None):
     except SystemExit as exc:  # --help and friends
         code = exc.code
         return 0 if code is None else int(code)
-    except Exception as exc:  # pragma: no cover - defensive
-        log.error("internal error: %s: %s", type(exc).__name__, exc)
+    except Exception as exc:
+        log.exception("internal error: %s: %s", type(exc).__name__, exc)
         return EXIT_INTERNAL
 
 

@@ -3,12 +3,15 @@
 The pinning heuristic routes every demand at or below a threshold onto its
 designated shortest path (clamped to residual capacity), then solves a
 path-based max-flow over what remains. The benchmark solves the same
-path-based max-flow without pinning anything. `run_dp` and `optimal_te`
-take one demand vector; `Scenario.evaluate` routes a whole stack both ways
-through `_route`, with the flows the two would give one vector at a time.
+path-based max-flow without pinning anything. Both are one LP with a
+varying right-hand side, [demands | link capacities], in which pinning
+sets each pinned demand to 0 and each link to what it left: so an instance
+keeps one `solver.ParametricLP`, whose stored optimal bases serve the
+heuristic and the benchmark alike. `run_dp` and `optimal_te` take one
+demand vector; `Scenario.evaluate` routes a whole stack both ways through
+`_route`, with the flows the two would give one vector at a time.
 """
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -18,9 +21,6 @@ import numpy as np
 from .. import solver
 from .._validation import check_scalar
 
-# max-flow LPs an instance keeps, one per set of skipped demands; fig1a_dp
-# uses 140 sets in a seed-7 `analyze`, an instance with n demands up to 2^n
-MAX_PINNED_SETS = 64
 # rows routed at a time: bounds the stacks each stored basis screens, and
 # so the memory a large stack takes, at little cost per row
 ROUTE_ROWS = 256
@@ -145,9 +145,9 @@ class TeInstance:
             grid, np.array(unmet, dtype=np.intp), sum_grid)
 
     @cached_property
-    def _max_flow_lps(self):
-        """frozenset of skipped demands -> its max-flow, most recently used last."""
-        return OrderedDict()
+    def _max_flow(self):
+        """The max-flow LP that `_route` solves, built on first use."""
+        return _max_flow_lp(self)
 
 
 def all_simple_paths(nodes, links, src, dst):
@@ -195,35 +195,32 @@ class TeAllocation:
 
 class _MaxFlow(NamedTuple):
     lp: solver.ParametricLP
-    rows: np.ndarray     # per program row, its entry of [demands | residual]
-    columns: np.ndarray  # the layout column of each program column
+    rows: np.ndarray  # per program row, its entry of [demands | residual]
 
 
-def _max_flow_lp(inst, d, residual, skip):
-    """The max-flow LP for one set of skipped demands, from its first b.
+def _max_flow_lp(inst):
+    """The instance's one max-flow LP, over every path of every demand.
 
-    One row per unskipped demand, then one per link that an unskipped path
-    crosses, straight from the instance's flow layout.
+    One row per demand, then one per link that some path crosses; a
+    column is the layout's column of the same number. Pinning and the
+    benchmark both solve it: a pinned demand has 0 on its row, so its
+    paths carry nothing, and each link row has what pinning left of the
+    link. The program's own b, no demand on the full capacities, is only
+    the template of `ParametricLP`'s cold solves.
     """
     lay = inst.flow_layout
-    col, rows, b_rows = {}, [], []  # col: layout -> program
-    for k, cols in enumerate(lay.demand_columns):
-        if k not in skip:
-            for j in cols:
-                col[j] = len(col)
-            rows.append(solver.Constraint(tuple((col[j], 1.0) for j in cols),
-                                          solver.LE, float(d[k])))
-            b_rows.append(k)
+    rows = [solver.Constraint(tuple((j, 1.0) for j in cols), solver.LE, 0.0)
+            for cols in lay.demand_columns]
+    b_rows = list(range(inst.n_demands))
     for i, cols in enumerate(lay.link_columns):
-        coeffs = tuple((col[j], 1.0) for j in cols if j in col)
-        if coeffs:
-            rows.append(solver.Constraint(coeffs, solver.LE, float(residual[i])))
-            b_rows.append(len(d) + i)
+        if cols:
+            rows.append(solver.Constraint(tuple((j, 1.0) for j in cols),
+                                          solver.LE, float(lay.capacities[i])))
+            b_rows.append(inst.n_demands + i)
     prog = solver.ConstraintProgram(
-        variables=[lay.variables[j] for j in col], constraints=rows,
-        objective=dict.fromkeys(range(len(col)), 1.0), sense=solver.MAXIMIZE)
-    return _MaxFlow(solver.ParametricLP(prog), np.array(b_rows, dtype=np.intp),
-                    np.array(list(col), dtype=np.intp))
+        variables=list(lay.variables), constraints=rows,
+        objective=dict.fromkeys(range(len(lay.variables)), 1.0), sense=solver.MAXIMIZE)
+    return _MaxFlow(solver.ParametricLP(prog), np.array(b_rows, dtype=np.intp))
 
 
 def _checked_demands(inst, d, ndim):
@@ -265,67 +262,42 @@ def _pin(inst, D):
     return flows.T, residual.T, pinned.T
 
 
-def _row_sets(mask):
-    """Per row of a boolean stack, the frozenset of its true columns."""
-    packed = np.packbits(mask, axis=1)
-    raw, width, sets, out = packed.tobytes(), packed.shape[1], {}, []
-    for i in range(len(mask)):
-        code = raw[i * width:(i + 1) * width]
-        if code not in sets:
-            sets[code] = frozenset(np.flatnonzero(mask[i]).tolist())
-        out.append(sets[code])
-    return out
-
-
 def _route(inst, D, pins):
     """Per-path flows for each row of D (checked), one N x columns array per pin.
 
     Each array has one more column, all zeros, for `_totals`. For each row
     in turn, and for each entry of `pins` in turn, route the row: pinning
     first if the entry is True (`run_dp`), as the max flow alone if it is
-    False (`optimal_te`). The instance keeps one `solver.ParametricLP` for
-    each of the MAX_PINNED_SETS sets of pinned demands used last; they are
-    looked up and evicted in that same order, and each one solves its
-    rows, in that order, with `solve_many`. So every row gets, bit for bit,
-    the flows that routing it alone in that order would give. At a
-    degenerate optimum the flows are the vertex of the first stored basis
-    that passes (see `solver.parametric`), and so can depend on the rows
-    before; the total cannot.
+    False (`optimal_te`). Every request goes, in that order, through one
+    `solve_many` of the instance's one max-flow LP; a pinned demand asks
+    it for 0 and keeps the flows `_pin` gave it, whatever rounding the
+    LP's x holds there. So every row gets, bit for bit, the flows that
+    routing it alone in that order would give. At a degenerate optimum the
+    flows are the vertex of the first stored basis that passes (see
+    `solver.parametric`), and so can depend on the rows before; the total
+    cannot.
     """
     lay = inst.flow_layout
-    flows = np.zeros((len(pins), len(D), len(lay.variables) + 1))
-    rhs = np.empty((len(pins), len(D), D.shape[1] + len(lay.capacities)))
-    rhs[:, :, :D.shape[1]] = D  # then each pin's residual capacities
-    keys = []  # per pin, per row: the set of pinned demands, its LP's key
+    n, mf = D.shape[1], inst._max_flow
+    rhs = np.empty((len(D), len(pins), n + len(lay.capacities)))
+    rhs[:, :, :n] = D[:, None]  # then each pin's residual capacities
+    pinned = {}  # pin -> its pinned flows and, per column, whether its demand is pinned
     for p, pin in enumerate(pins):
         if pin:
-            flows[p, :, :-1], rhs[p, :, D.shape[1]:], pinned = _pin(inst, D)
-            keys.append(_row_sets(pinned))
+            flows, rhs[:, p, n:], by_demand = _pin(inst, D)
+            rhs[:, p, :n][by_demand] = 0.0
+            pinned[p] = flows, np.repeat(by_demand, list(map(len, lay.demand_columns)), axis=1)
         else:
-            rhs[p, :, D.shape[1]:] = lay.capacities
-            keys.append([frozenset()] * len(D))
-
-    lps, batches = inst._max_flow_lps, {}  # batches: id(max flow) -> (it, [(pin, row)])
-    for i in range(len(D)):
-        for p, pin_keys in enumerate(keys):
-            key = pin_keys[i]
-            mf = lps.get(key)
-            if mf is None:
-                mf = _max_flow_lp(inst, D[i], rhs[p, i, D.shape[1]:], key)
-                if len(lps) >= MAX_PINNED_SETS:
-                    lps.popitem(last=False)
-                lps[key] = mf
-            else:
-                lps.move_to_end(key)
-            batches.setdefault(id(mf), (mf, []))[1].append((p, i))
-    for mf, requests in batches.values():
-        p, i = np.array(requests, dtype=np.intp).T
-        sols = mf.lp.solve_many(rhs[p[:, None], i[:, None], mf.rows])
-        if any(status != "optimal" for status in sols.status):
-            raise solver.SolverError(f"a TE max-flow LP came back {set(sols.status)}")
-        x = sols.values
-        flows[p[:, None], i[:, None], mf.columns] = np.where(x > 0.0, x, 0.0)
-    return flows
+            rhs[:, p, n:] = lay.capacities
+    sols = mf.lp.solve_many(rhs.reshape(-1, rhs.shape[2])[:, mf.rows])
+    if any(status != "optimal" for status in sols.status):
+        raise solver.SolverError(f"a TE max-flow LP came back {set(sols.status)}")
+    x = sols.values.reshape(len(D), len(pins), -1).transpose(1, 0, 2)
+    out = np.zeros((len(pins), len(D), len(lay.variables) + 1))
+    out[:, :, :-1] = np.where(x > 0.0, x, 0.0)
+    for p, (flows, by_column) in pinned.items():
+        out[p, :, :-1][by_column] = flows[by_column]
+    return out
 
 
 def _totals(inst, flows):

@@ -367,7 +367,7 @@ def test_encode_milp_routes_agree(tmp_path, capsys):
                         "--out", str(out_dir))
     assert code == 0
     doc = json.loads(out)
-    assert doc["agreement"] is True
+    assert doc["agreement"] is True and "needed_shift" not in doc
     assert doc["raw"]["objective"] == pytest.approx(doc["encoded"]["objective"])
     net = flow.from_json((out_dir / "network.json").read_text())
     assert len(net.edges) == doc["edges"]
@@ -383,7 +383,7 @@ def test_encode_milp_infeasible_agrees(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["raw"]["status"] == "infeasible"
     assert rep["encoded"]["status"] == "infeasible"
-    assert rep["agreement"] is True
+    assert rep["agreement"] is True and "needed_shift" not in rep
 
 
 def test_encode_milp_rerun_identical(tmp_path, capsys):
@@ -397,6 +397,36 @@ def test_encode_milp_rerun_identical(tmp_path, capsys):
                         "--out", str(out_dir))
     assert first == second
     assert (out_dir / "network.json").read_bytes() == snap
+
+
+@pytest.mark.parametrize("sense", ["max", "min"])
+def test_encode_milp_names_the_shift_a_negative_optimum_needs(tmp_path, capsys, sense):
+    # optimum -3 as a maximum (x = (1, 1), y = 0): at shift 0 the encoded
+    # network, which keeps c.z + shift >= 0, is infeasible
+    sign = 1 if sense == "max" else -1
+    doc = {"sense": sense, "c_x": [-sign, -2 * sign], "c_y": [-3 * sign],
+           "A_x": [[1, 1], [1, 0]], "A_y": [[1], [0]],
+           "b": [2, 1], "row_sense": ["==", "<="]}
+    milp = write_config(tmp_path, "m.json", doc)
+    reports = []
+    for shift in (0.0, 2.0, None):
+        cfg = {"milp": milp}
+        if shift is not None:
+            cfg["objective_shift"] = shift
+        else:
+            cfg["objective_shift"] = reports[0]["needed_shift"]
+        code, out = run_cli(capsys, "encode-milp", "--config",
+                            write_config(tmp_path, "c.json", cfg), "--seed", "1",
+                            "--out", str(tmp_path / "out"))
+        assert code == 0
+        reports.append(json.loads(out))
+    for rep in reports[:2]:
+        assert rep["raw"] == {"status": "optimal", "objective": pytest.approx(-3.0 * sign)}
+        assert rep["encoded"]["status"] == "infeasible" and rep["agreement"] is False
+        assert rep["needed_shift"] == pytest.approx(3.0)
+    assert reports[1]["objective_shift"] == 2.0
+    assert reports[2]["objective_shift"] == reports[0]["needed_shift"]
+    assert reports[2]["agreement"] is True and "needed_shift" not in reports[2]
 
 
 @pytest.mark.parametrize("shift", [-1.0, "two", "inf", "nan"],
@@ -463,3 +493,18 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "DP total 150\nOPT total 250\n"
+
+
+def test_internal_error_logs_the_frame_that_raised(tmp_path, capsys, caplog, monkeypatch):
+    import xplain.cli as cli
+
+    def boom(cfg, args):
+        raise RuntimeError("boom in a command")
+
+    monkeypatch.setitem(cli.DISPATCH, "run-heuristic", boom)
+    cfg = write_config(tmp_path, "c.json", {"scenario": "fig1a_dp"})
+    assert main(["run-heuristic", "--config", cfg, "--seed", "1"]) == cli.EXIT_INTERNAL
+    assert capsys.readouterr().out == ""
+    assert "internal error: RuntimeError: boom in a command" in caplog.text
+    assert "Traceback (most recent call last)" in caplog.text
+    assert 'raise RuntimeError("boom in a command")' in caplog.text

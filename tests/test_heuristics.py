@@ -34,6 +34,7 @@ from xplain.generalize import InstanceFamily, generate_instances
 from xplain.rng import fold
 from xplain.heuristics.binpack_bounds import gilmore_gomory_bound, l2_bound
 from xplain.heuristics.te import _max_flow_lp
+from xplain.solver.parametric import MAX_BASES
 from xplain.solver import LE, ConstraintProgram, Solution, SolverError, counting
 
 
@@ -162,7 +163,9 @@ def _reference_max_flow_program(inst, d, residual, skip):
 
 
 def test_max_flow_layout_matches_row_by_row_build(fig1a, monkeypatch):
-    # capture the program handed to xplain.solver.solve_lp, as bench/tracer.py does
+    # capture the program handed to xplain.solver.solve_lp, as bench/tracer.py
+    # does: the one max-flow LP is the full program, with a zero right-hand
+    # side at each skipped (pinned) demand
     captured = []
 
     def grab(prog):
@@ -175,16 +178,16 @@ def test_max_flow_layout_matches_row_by_row_build(fig1a, monkeypatch):
     rng = np.random.default_rng(61)
     for sc in [fig1a, *generate_instances(line)]:
         inst = sc.instance
+        mf = _max_flow_lp(inst)
         for _ in range(12):
             d = rng.uniform(0.0, 100.0, size=inst.n_demands)
-            skip = {k for k in range(inst.n_demands) if rng.random() < 0.4}
+            d[rng.random(inst.n_demands) < 0.4] = 0.0  # the skipped demands
             residual = [float(rng.uniform(0.0, l.capacity)) for l in inst.links]
-            mf = _max_flow_lp(inst, d, residual, frozenset(skip))
             b = np.concatenate([d, residual])[mf.rows]
             with pytest.raises(RuntimeError, match="captured"):
                 mf.lp.solve(b)
             got = captured.pop()
-            ref = _reference_max_flow_program(inst, d, residual, skip)
+            ref = _reference_max_flow_program(inst, d, residual, ())
             assert isinstance(got, ConstraintProgram)
             assert [v.name for v in got.variables] == [v.name for v in ref.variables]
             assert got.variables == ref.variables
@@ -237,19 +240,66 @@ def test_te_totals_match_cold_solves_whatever_came_before(fig1a):
     assert checked >= 200
 
 
-def test_te_instance_keeps_the_max_flows_of_the_last_pinned_sets(fig1a, monkeypatch):
-    import xplain.heuristics.te as te
-
-    monkeypatch.setattr(te, "MAX_PINNED_SETS", 3)
+def test_te_instance_serves_every_pinned_set_from_one_max_flow(fig1a):
+    # run_dp on whatever set of demands it pins, and optimal_te, all solve
+    # the instance's one LP, built on first use and then kept
     inst = fig1a.instance
-    fresh = lambda: type(inst)(inst.nodes, inst.links, inst.demands, inst.threshold)
-    warm_inst, used = fresh(), []
+    warm_inst, sets = _fresh(inst), set()
+    with counting() as work:
+        run_dp(warm_inst, np.zeros(inst.n_demands))
+    lp = warm_inst._max_flow.lp
+    assert work.lp_cold == 1
     for d in _te_demand_vectors(inst, np.random.default_rng(9), 60):
-        key = frozenset(k for k, rate in enumerate(d) if rate <= inst.threshold)
-        assert run_dp(warm_inst, d).total == pytest.approx(run_dp(fresh(), d).total, abs=1e-9)
-        used = [k for k in used if k != key] + [key]
-        assert list(warm_inst._max_flow_lps) == used[-3:]
-    assert len(used) > 3
+        sets.add(frozenset(np.flatnonzero(d <= inst.threshold).tolist()))
+        assert run_dp(warm_inst, d).total == pytest.approx(run_dp(_fresh(inst), d).total, abs=1e-9)
+        assert optimal_te(warm_inst, d).total == pytest.approx(
+            optimal_te(_fresh(inst), d).total, abs=1e-9)
+        assert warm_inst._max_flow.lp is lp
+    assert len(sets) > MAX_BASES and 0 < len(lp._order) <= MAX_BASES
+
+
+def test_pinning_reuses_a_basis_the_benchmark_stored(fig1a):
+    # optimal_te stores its optimal basis; pinning the 30-unit demand (and
+    # the zero ones) then asks the same LP for 0 on their rows and 30 less
+    # on the links of 1->2->3, and that basis answers: the two share bases
+    # although the benchmark pins nothing
+    inst = _fresh(fig1a.instance)
+    d = np.zeros(8)
+    labels = fig1a.labels()
+    d[labels.index("1->2")], d[labels.index("1->3")], d[labels.index("2->3")] = 60.0, 30.0, 60.0
+    with counting() as cold:
+        optimal_te(inst, d)
+    with counting() as warm:
+        alloc = run_dp(inst, d)
+    assert (cold.lp_cold, cold.lp_warm) == (1, 0)
+    assert (warm.lp_cold, warm.lp_warm) == (0, 1)
+    assert alloc.routed(labels.index("1->3")) == 30.0
+    assert alloc.total == run_dp(_fresh(inst), d).total == pytest.approx(150.0)
+
+
+def test_pinning_as_zero_right_hand_sides_matches_the_reduced_program(fig1a):
+    # the oracle for the encoding: pinned demands asked for 0 in the full LP
+    # against the program without them, built row by row and solved cold
+    from xplain.heuristics.te import _pin
+    from xplain.solver import solve_lp
+
+    line = InstanceFamily("te-line", count=4, size_range=(2, 6),
+                          capacity_range=(10.0, 60.0), seed=8)
+    rng = np.random.default_rng(5150)
+    checked = 0
+    for inst in [fig1a.instance, *(sc.instance for sc in generate_instances(line))]:
+        warm_inst, cols = _fresh(inst), inst.flow_layout.demand_columns
+        D = np.array(_te_demand_vectors(inst, rng, 45))
+        for d, flows, residual, pinned in zip(D, *_pin(inst, D)):
+            skip = set(np.flatnonzero(pinned).tolist())
+            alloc = run_dp(warm_inst, d)
+            ref = solve_lp(_reference_max_flow_program(inst, d, residual, skip))
+            assert ref.status == "optimal"
+            assert alloc.total == pytest.approx(flows.sum() + ref.objective, abs=1e-9)
+            for k in skip:
+                assert _bits(alloc.flows[k]) == _bits(flows[list(cols[k])])
+            checked += bool(skip)
+    assert checked >= 100
 
 
 def _fresh(inst):
@@ -295,20 +345,20 @@ def test_te_gap_of_a_stack_is_the_gaps_of_its_rows(mode):
 
 
 @pytest.mark.parametrize("mode", ["absolute", "relative"])
-def test_fig1a_gap_of_a_stack_crosses_the_pinned_set_bound(fig1a, mode):
+def test_fig1a_gap_of_a_stack_crosses_the_stored_basis_bound(fig1a, mode):
     # demands around the threshold pin a different set on most rows: the
-    # stack uses more pinned sets than an instance keeps, so LPs are
-    # evicted and built again, and cold-solved, inside the one stack, which
-    # is also routed in more than one piece
+    # stack needs more bases than the one max-flow LP keeps, so bases are
+    # evicted and stored again, and cold-solved, inside the one stack,
+    # which is also routed in more than one piece
     import xplain.heuristics.te as te
 
     inst = fig1a.instance
     X = np.random.default_rng(77).uniform(0.0, 2.0 * inst.threshold, size=(300, 8))
     assert len(X) > te.ROUTE_ROWS
     X[::7, 2] = inst.threshold
-    assert len({tuple(row <= inst.threshold) for row in X}) > 2 * te.MAX_PINNED_SETS
+    assert len({tuple(row <= inst.threshold) for row in X}) > 2 * MAX_BASES
     work = _stack_matches_rows(lambda: _fresh_scenario(fig1a).gap_fn(mode), X)
-    assert work.lp_cold > te.MAX_PINNED_SETS and work.lp_warm > 0
+    assert work.lp_cold > MAX_BASES and work.lp_warm > 0
 
 
 def test_ff4_gap_of_a_stack_is_the_gaps_of_its_rows():
@@ -324,7 +374,8 @@ def test_te_gap_checks_every_row_before_it_routes_any(fig1a):
     fn = replace(fig1a, instance=inst).gap_fn()
     good = np.random.default_rng(3).uniform(0.0, 100.0, size=(4, 8))
     fn(good)
-    kept = {key: (mf.lp, list(mf.lp._order)) for key, mf in inst._max_flow_lps.items()}
+    lp = inst._max_flow.lp
+    kept = list(lp._order), [slot[0] for slot in lp._slots]
     bad_rows = [np.full(7, 10.0), np.r_[good[0, :7], np.nan], np.r_[good[0, :7], np.inf],
                 np.r_[good[0, :7], -1.0]]
     with counting() as work:
@@ -336,7 +387,8 @@ def test_te_gap_checks_every_row_before_it_routes_any(fig1a):
             assert str(stacked.value) == str(alone.value)
         assert fn(np.zeros((0, 8))).shape == (0,)
     assert work == type(work)()  # nothing counted
-    assert {key: (mf.lp, list(mf.lp._order)) for key, mf in inst._max_flow_lps.items()} == kept
+    assert inst._max_flow.lp is lp
+    assert (list(lp._order), [slot[0] for slot in lp._slots]) == kept
 
 
 def test_row_wise_pinning_and_totals_match_the_loop_reference(fig1a):
