@@ -6,9 +6,14 @@ ones get uniform exploration followed by coordinate pattern search from the
 best starts, with the poll step halving from 25% of each range down to 0.1%.
 Either way the search never returns a point inside an exclusion region, and
 for a fixed seed it evaluates exactly the same points in the same order on
-every run. It hands the gap function a whole stack of points at a time
-(see `evaluate_gaps`): the grid, the accepted exploration draws, and each
-pattern-search poll round.
+every run.
+
+Points travel as N x n stacks, one row per point. The search hands the gap
+function a whole stack at a time (see `evaluate_gaps`): the grid, the
+accepted exploration draws, and each pattern-search poll round. The region
+test `inside` and `ExclusionSet.covers` answer one bool per row, and a
+one-row stack gets the answer its point gets alone, so screening a stack
+turns away exactly the points that screening them one by one would.
 """
 
 from dataclasses import dataclass
@@ -16,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import substream
+from .solver.work import open_counts
 
 EPS_MEM = 1e-9          # slack allowed when testing polytope membership
 STEP_START = 0.25       # first poll step, fraction of each dimension's range
@@ -32,7 +38,9 @@ __all__ = [
     "NotFound",
     "evaluate_gaps",
     "find_adversarial",
+    "inside",
     "membership",
+    "stacked_rows",
 ]
 
 
@@ -105,17 +113,36 @@ class NotFound:
     best_x: tuple = None
 
 
-def membership(x, subspace, tol=EPS_MEM):
-    """True iff x satisfies every box row A·x ≤ C and tree row T·x ≤ V."""
-    x = np.asarray(x, dtype=float)
-    for rows, rhs in ((subspace.A, subspace.C), (subspace.T, subspace.V)):
+def stacked_rows(region, n):
+    """All rows of the region, box rows then tree rows, as one (rows, rhs) pair."""
+    parts_a, parts_c = [], []
+    for rows, rhs in ((region.A, region.C), (region.T, region.V)):
         rows = np.asarray(rows, dtype=float)
         if rows.size == 0:
             continue
-        rows = rows.reshape(-1, len(x))
-        if np.any(rows @ x > np.asarray(rhs, dtype=float) + tol):
-            return False
-    return True
+        parts_a.append(rows.reshape(-1, n))
+        parts_c.append(np.asarray(rhs, dtype=float).ravel())
+    if not parts_a:
+        return np.zeros((0, n)), np.zeros(0)
+    return np.vstack(parts_a), np.concatenate(parts_c)
+
+
+def inside(X, region, tol=EPS_MEM):
+    """Per row x of the N x n stack X: does x satisfy A·x ≤ C and T·x ≤ V?
+
+    Each row's products are one matrix-vector product, so a row gets the
+    answer it would get alone.
+    """
+    X = np.asarray(X, dtype=float)
+    rows, rhs = stacked_rows(region, X.shape[1])
+    if not len(rows):
+        return np.ones(len(X), dtype=bool)
+    return ~((rows @ X[:, :, None])[:, :, 0] > rhs + tol).any(axis=1)
+
+
+def membership(x, region, tol=EPS_MEM):
+    """True iff the point x lies in the region (`inside` on one row)."""
+    return bool(inside(np.asarray(x, dtype=float)[None], region, tol)[0])
 
 
 class ExclusionSet:
@@ -127,9 +154,25 @@ class ExclusionSet:
     def add(self, subspace):
         self._subspaces.append(subspace)
 
+    def covers(self, X):
+        """Per row of the N x n stack X: does it lie in some region?
+
+        An open `solver.counting()` block counts the rows screened and
+        the rows covered.
+        """
+        X = np.asarray(X, dtype=float)
+        hit = np.zeros(len(X), dtype=bool)
+        for s in self._subspaces:
+            hit |= inside(X, s)
+        work = open_counts()
+        if work is not None:
+            work.exclusion_checks += len(X)
+            work.exclusion_rejects += int(hit.sum())
+        return hit
+
     def rejects(self, x):
-        """True iff x lies in some region (the search's one membership check)."""
-        return any(membership(x, s) for s in self._subspaces)
+        """True iff the point x lies in some region (`covers` on one row)."""
+        return bool(self.covers(np.asarray(x, dtype=float)[None])[0])
 
 
 def evaluate_gaps(gap_fn, X):
@@ -155,63 +198,69 @@ def _grid_side(n, budget):
 
 
 class _Best:
-    """Deterministic argmax over evaluated candidates.
+    """Deterministic argmax over evaluated stacks.
 
-    Ties in gap keep the earliest candidate, so the reduction is the same
-    no matter how evaluation might be scheduled.
+    Of the gaps above the current one, the first of the largest wins, as
+    offering the rows one at a time with a strict > would; so the result
+    does not depend on how the rows are split into stacks.
     """
 
-    def __init__(self):
-        self.gap = None
-        self.x = None
-        self.index = -1
-        self.count = 0
+    def __init__(self, gap=None, x=None):
+        self.gap, self.x = gap, x
 
-    def offer(self, x, g):
-        idx = self.count
-        self.count += 1
-        if self.gap is None or g > self.gap:
-            self.gap, self.x, self.index = g, np.array(x), idx
+    def offer(self, X, gaps):
+        if not len(gaps):
+            return
+        if self.gap is None:
+            self.gap, self.x = float(gaps[0]), np.array(X[0])
+        above = np.where(gaps > self.gap, gaps, -np.inf)
+        i = int(np.argmax(above))
+        if above[i] > self.gap:
+            self.gap, self.x = float(gaps[i]), np.array(X[i])
 
 
-def _poll_directions(n):
-    # dimension-major, positive step first: fixed deterministic order
-    for d in range(n):
-        yield d, 1.0
-        yield d, -1.0
+def _first_free(excl, X, k):
+    """The first k rows of X that excl does not cover.
+
+    Screens no row past the k-th free one, as a screen one row at a time
+    that stops there would, so the exclusion counts are the same.
+    """
+    free, start = [], 0
+    while len(free) < k and start < len(X):
+        stop = start + k - len(free)
+        free.extend(start + np.flatnonzero(~excl.covers(X[start:stop])))
+        start = stop
+    return X[free]
 
 
 def _pattern_search(space, gap_fn, excl, start_x, start_gap, best, budget_left):
     """Greedy coordinate polling with halving steps. Returns evals used.
 
     A poll round's candidates do not depend on its own gaps, so each round
-    is one stack, cut where the budget runs out.
+    is one stack: the 2n moves (dimension-major, + before −), clipped,
+    less those that stay put or that the exclusions cover, cut where the
+    budget runs out.
     """
+    dims = np.arange(space.n)
     x = np.array(start_x)
     gx = start_gap
     step = STEP_START * space.ranges
     frac = STEP_START
     used = 0
     while frac >= STEP_STOP and used < budget_left:
-        cands = []
-        for d, sign in _poll_directions(space.n):
-            if used + len(cands) >= budget_left:
-                break
-            cand = x.copy()
-            cand[d] += sign * step[d]
-            cand = space.clip(cand)
-            if np.array_equal(cand, x) or excl.rejects(cand):
-                continue
-            cands.append(cand)
-        move = None
-        move_gap = gx
-        for cand, g in zip(cands, evaluate_gaps(gap_fn, cands).tolist()):
-            best.offer(cand, g)
-            if g > move_gap:
-                move, move_gap = cand, g
+        cands = np.repeat(x[None], 2 * space.n, axis=0)
+        cands[2 * dims, dims] += step
+        cands[2 * dims + 1, dims] -= step
+        cands = space.clip(cands)
+        cands = _first_free(excl, cands[~(cands == x).all(axis=1)],
+                            budget_left - used)
+        gaps = evaluate_gaps(gap_fn, cands)
+        best.offer(cands, gaps)
+        move = _Best(gx, x)
+        move.offer(cands, gaps)
         used += len(cands)
-        if move is not None:
-            x, gx = move, move_gap
+        if move.x is not x:
+            x, gx = move.x, move.gap
         else:
             step = step / 2.0
             frac /= 2.0
@@ -235,30 +284,33 @@ def find_adversarial(space, gap_fn, exclusions=None, budget=2000,
     side = _grid_side(space.n, budget)
     if space.n <= 3 and side >= GRID_MIN_SIDE:
         axes = [np.linspace(lo, hi, side) for lo, hi in space.bounds]
-        grid = (np.array([axes[d][i] for d, i in enumerate(idx)])
-                for idx in np.ndindex(*([side] * space.n)))
-        points = [x for x in grid if not excl.rejects(x)]
-        for x, g in zip(points, evaluate_gaps(gap_fn, points).tolist()):
-            best.offer(x, g)
+        # np.ndindex order: the last dimension varies fastest
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        grid = grid.reshape(-1, space.n)
+        points = grid[~excl.covers(grid)]
+        best.offer(points, evaluate_gaps(gap_fn, points))
         evals = len(points)
         strategy = "grid"
     else:
         rng = substream(seed, "analyzer", "uniform")
         lows, ranges = space.lows, space.ranges
         explore = max(1, int(budget * UNIFORM_SHARE))
-        draws = 0
-        points = []  # accepted exploration draws; rejections do not count
-        while len(points) < explore and draws < 10 * budget:
-            x = lows + rng.random(space.n) * ranges
-            draws += 1
-            if not excl.rejects(x):
-                points.append(x)
-        gaps = evaluate_gaps(gap_fn, points).tolist()
-        for x, g in zip(points, gaps):
-            best.offer(x, g)
+        # draw in chunks no larger than the accepted draws still wanted, so
+        # the stream is read exactly as far as one draw at a time would
+        chunks, accepted, draws = [], 0, 0  # rejected draws do not count
+        while accepted < explore and draws < 10 * budget:
+            k = min(explore - accepted, 10 * budget - draws)
+            X = lows + rng.random((k, space.n)) * ranges
+            draws += k
+            chunks.append(X[~excl.covers(X)])
+            accepted += len(chunks[-1])
+        points = np.concatenate(chunks)
+        gaps = evaluate_gaps(gap_fn, points)
+        best.offer(points, gaps)
         evals = len(points)
         # (gap, order, x) of the exploration points, best first
-        starts = sorted(zip(gaps, range(evals), points), key=lambda t: (-t[0], t[1]))
+        starts = sorted(zip(gaps.tolist(), range(evals), points),
+                        key=lambda t: (-t[0], t[1]))
         for g, _, x in starts[:TOP_STARTS]:
             if evals >= budget:
                 break
@@ -268,7 +320,7 @@ def find_adversarial(space, gap_fn, exclusions=None, budget=2000,
 
     if best.gap is not None and best.gap >= min_gap:
         return AdversarialPoint(x=tuple(float(v) for v in best.x),
-                                gap=float(best.gap), strategy=strategy,
+                                gap=best.gap, strategy=strategy,
                                 evaluations=evals)
     best_x = None if best.x is None else tuple(float(v) for v in best.x)
     return NotFound(evaluations=evals, best_gap=best.gap, best_x=best_x)

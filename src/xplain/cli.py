@@ -246,9 +246,9 @@ def cmd_analyze(cfg, args):
 
 
 def _write_samples_csv(path, labels, samples):
+    # the samples hold Python floats (see grow_rough_subspace)
     rows = [",".join([*labels, "gap"])]
-    for x, g in samples:
-        rows.append(",".join([*(repr(float(v)) for v in x), repr(float(g))]))
+    rows.extend(",".join(map(repr, (*x, g))) for x, g in samples)
     path.write_text("\n".join(rows) + "\n")
 
 

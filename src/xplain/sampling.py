@@ -3,12 +3,13 @@
 A region is anything with box rows (A, C) and tree rows (T, V). Draws are
 uniform over the tightest axis-aligned box implied by the unit rows of A
 intersected with the ambient space, then rejected against the full row
-systems.
+systems. Each chunk of draws is tested as one stack by `analyzer.inside`,
+which answers every row as it would answer that point alone.
 """
 
 import numpy as np
 
-from .analyzer import EPS_MEM
+from .analyzer import EPS_MEM, inside, stacked_rows
 
 __all__ = ["SamplingFailure", "region_box", "sample_region", "stacked_rows"]
 
@@ -18,20 +19,6 @@ MIN_ACCEPT_RATE = 0.01
 
 class SamplingFailure(RuntimeError):
     """The region is too thin to sample by rejection."""
-
-
-def stacked_rows(subspace, n):
-    """All rows of the region as one (rows, rhs) pair of arrays."""
-    parts_a, parts_c = [], []
-    for rows, rhs in ((subspace.A, subspace.C), (subspace.T, subspace.V)):
-        rows = np.asarray(rows, dtype=float)
-        if rows.size == 0:
-            continue
-        parts_a.append(rows.reshape(-1, n))
-        parts_c.append(np.asarray(rhs, dtype=float).ravel())
-    if not parts_a:
-        return np.zeros((0, n)), np.zeros(0)
-    return np.vstack(parts_a), np.concatenate(parts_c)
 
 
 def region_box(subspace, space):
@@ -53,26 +40,18 @@ def region_box(subspace, space):
     return lo, np.maximum(lo, hi)
 
 
-def _inside_mask(X, rows, rhs, tol=EPS_MEM):
-    if rows.size == 0:
-        return np.ones(len(X), dtype=bool)
-    return np.all(X @ rows.T <= rhs + tol, axis=1)
-
-
 def sample_region(subspace, space, count, rng):
     """Draw `count` uniform points inside the region, or raise SamplingFailure."""
     if count <= 0:
         raise ValueError("count must be positive")
     lo, hi = region_box(subspace, space)
-    rows, rhs = stacked_rows(subspace, space.n)
     accepted = []
     draws = 0
     hard_cap = 1000 * count
     chunk = max(count, 64)
     while len(accepted) < count:
         X = lo + rng.random((chunk, space.n)) * (hi - lo)
-        keep = _inside_mask(X, rows, rhs)
-        accepted.extend(X[keep])
+        accepted.extend(X[inside(X, subspace)])
         draws += chunk
         if draws >= 10 * count and len(accepted) < MIN_ACCEPT_RATE * draws:
             raise SamplingFailure(

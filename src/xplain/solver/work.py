@@ -1,4 +1,5 @@
-"""Deterministic work counters for the solver and the exact bin packer.
+"""Deterministic work counters for the solver, the exact bin packer and the
+search's exclusion screen.
 
     with counting() as work:
         solve_mip(prog)
@@ -27,6 +28,9 @@ class WorkCounts:
     vbp_gg: int = 0      # the Gilmore-Gomory bound proved the better of the two
     vbp_search: int = 0  # the packing search met the bound
     vbp_milp: int = 0    # handed to optimal_vbp
+    # analyzer.ExclusionSet.covers, per row: rows screened, rows covered
+    exclusion_checks: int = 0
+    exclusion_rejects: int = 0
 
 
 _OPEN = contextvars.ContextVar("xplain_solver_work", default=None)

@@ -19,6 +19,7 @@ from ..analyzer import (
     ExclusionSet,
     NotFound,
     find_adversarial,
+    inside,
     membership,
 )
 from ..rng import fold
@@ -139,14 +140,14 @@ class Limits:
 
 
 def _sample_stats(samples, subspace, bad_threshold):
-    inside = [g for x, g in samples if subspace.contains(x)]
-    if not inside:
+    X = np.array([x for x, _ in samples])
+    gaps = np.array([g for _, g in samples])[inside(X, subspace)]
+    if not len(gaps):
         return {"count": 0, "bad_fraction": 0.0, "mean_gap": 0.0}
-    inside = np.asarray(inside)
     return {
-        "count": int(len(inside)),
-        "bad_fraction": float(np.mean(inside >= bad_threshold - 1e-12)),
-        "mean_gap": float(inside.mean()),
+        "count": int(len(gaps)),
+        "bad_fraction": float(np.mean(gaps >= bad_threshold - 1e-12)),
+        "mean_gap": float(gaps.mean()),
     }
 
 

@@ -86,7 +86,7 @@ def grow_rough_subspace(seed, space, gap_fn, params=None, seed_rng=0):
     n = space.n
     # direction 2*dim grows the upper side, 2*dim + 1 the lower side
     frozen = np.zeros(2 * n, dtype=bool)
-    samples = [(tuple(float(v) for v in x0), float(seed.gap))]
+    samples = [(tuple(x0.tolist()), float(seed.gap))]
 
     round_idx = 0
     while not frozen.all():
@@ -109,9 +109,7 @@ def grow_rough_subspace(seed, space, gap_fn, params=None, seed_rng=0):
                 pts[:, dim] = shell_lo + rng.random(params.n_shell) * (
                     shell_hi - shell_lo)
                 gaps = evaluate_gaps(gap_fn, pts)
-                samples.extend(
-                    (tuple(float(v) for v in p), float(g))
-                    for p, g in zip(pts, gaps))
+                samples.extend(zip(map(tuple, pts.tolist()), gaps.tolist()))
                 density = float(np.mean(gaps >= threshold - 1e-12))
                 if density >= params.rho_min:
                     if sign > 0:

@@ -1,20 +1,41 @@
 """Independent oracles used by the test suite.
 
-These deliberately share no code with the package: the LP oracle enumerates
-constraint-intersection vertices, the MILP oracle enumerates binary patterns
-on top of it, the Wilcoxon oracle enumerates sign patterns literally, and
+The solver, statistics and edge oracles deliberately share no code with
+the package: the LP oracle enumerates constraint-intersection vertices,
+the MILP oracle enumerates binary patterns on top of it, the Wilcoxon oracle enumerates sign patterns literally, and
 the Kendall oracle enumerates every permutation of the gaps. The edge
 oracles project one allocation onto its network's edges by id, and tally a
 heatmap one sample and one edge at a time. `assignment_violations` checks a
 flow assignment against each node behaviour's semantics directly; it takes
 only the node classes and the flow threshold from the package.
+
+The region and search oracles are the package's earlier per-point code,
+kept as references for the stacked forms: `membership` tests one point
+row block by row block, `ExclusionOracle` screens one point at a time and
+counts its checks, and `find_adversarial` builds, screens and offers every
+grid point, draw and poll candidate one at a time. The search shares the
+package's input space, result types, gap dispatch and random substreams,
+so the two searches differ only in how their points travel.
 """
 
 import itertools
 
 import numpy as np
 
+from xplain.analyzer import (
+    EPS_MEM,
+    GRID_MIN_SIDE,
+    STEP_START,
+    STEP_STOP,
+    TOP_STARTS,
+    UNIFORM_SHARE,
+    AdversarialPoint,
+    NotFound,
+    _grid_side,
+    evaluate_gaps,
+)
 from xplain.flow import EPS_FLOW, AllEqual, Copy, Multiply, Pick, Source, Split
+from xplain.rng import substream
 
 _FEAS_TOL = 1e-9
 
@@ -323,3 +344,152 @@ def assignment_violations(net, assignment, eps=1e-6):
                     issues.append(f"node {nid!r}: copy edge {e.id!r} flow "
                                   f"{flow[e.id]} != total in {ins}")
     return issues
+
+
+def membership(x, subspace, tol=EPS_MEM):
+    """True iff x satisfies every box row A·x ≤ C and tree row T·x ≤ V."""
+    x = np.asarray(x, dtype=float)
+    for rows, rhs in ((subspace.A, subspace.C), (subspace.T, subspace.V)):
+        rows = np.asarray(rows, dtype=float)
+        if rows.size == 0:
+            continue
+        rows = rows.reshape(-1, len(x))
+        if np.any(rows @ x > np.asarray(rhs, dtype=float) + tol):
+            return False
+    return True
+
+
+class ExclusionOracle:
+    """Regions screened one point at a time; counts checks and rejects."""
+
+    def __init__(self, subspaces=()):
+        self._subspaces = list(subspaces)
+        self.checks = 0
+        self.rejected = []  # every point it turned away, in order
+
+    def rejects(self, x):
+        hit = any(membership(x, s) for s in self._subspaces)
+        self.checks += 1
+        if hit:
+            self.rejected.append(tuple(float(v) for v in x))
+        return hit
+
+
+class _Best:
+    """Deterministic argmax over evaluated candidates.
+
+    Ties in gap keep the earliest candidate, so the reduction is the same
+    no matter how evaluation might be scheduled.
+    """
+
+    def __init__(self):
+        self.gap = None
+        self.x = None
+        self.index = -1
+        self.count = 0
+
+    def offer(self, x, g):
+        idx = self.count
+        self.count += 1
+        if self.gap is None or g > self.gap:
+            self.gap, self.x, self.index = g, np.array(x), idx
+
+
+def _poll_directions(n):
+    # dimension-major, positive step first: fixed deterministic order
+    for d in range(n):
+        yield d, 1.0
+        yield d, -1.0
+
+
+def _pattern_search(space, gap_fn, excl, start_x, start_gap, best, budget_left):
+    """Greedy coordinate polling with halving steps. Returns evals used.
+
+    A poll round's candidates do not depend on its own gaps, so each round
+    is one stack, cut where the budget runs out.
+    """
+    x = np.array(start_x)
+    gx = start_gap
+    step = STEP_START * space.ranges
+    frac = STEP_START
+    used = 0
+    while frac >= STEP_STOP and used < budget_left:
+        cands = []
+        for d, sign in _poll_directions(space.n):
+            if used + len(cands) >= budget_left:
+                break
+            cand = x.copy()
+            cand[d] += sign * step[d]
+            cand = space.clip(cand)
+            if np.array_equal(cand, x) or excl.rejects(cand):
+                continue
+            cands.append(cand)
+        move = None
+        move_gap = gx
+        for cand, g in zip(cands, evaluate_gaps(gap_fn, cands).tolist()):
+            best.offer(cand, g)
+            if g > move_gap:
+                move, move_gap = cand, g
+        used += len(cands)
+        if move is not None:
+            x, gx = move, move_gap
+        else:
+            step = step / 2.0
+            frac /= 2.0
+    return used
+
+
+def find_adversarial(space, gap_fn, exclusions=None, budget=2000,
+                     min_gap=0.0, seed=0):
+    """Best effort search for a point with gap ≥ min_gap outside all exclusions.
+
+    Returns an AdversarialPoint on success, else NotFound once the
+    evaluation budget is spent. The budget counts evaluated points;
+    candidates rejected by the exclusion set consume none but are capped
+    separately so a fully excluded space still terminates.
+    """
+    if budget <= 0:
+        raise ValueError("budget must be positive")
+    excl = exclusions if exclusions is not None else ExclusionOracle()
+    best = _Best()
+
+    side = _grid_side(space.n, budget)
+    if space.n <= 3 and side >= GRID_MIN_SIDE:
+        axes = [np.linspace(lo, hi, side) for lo, hi in space.bounds]
+        grid = (np.array([axes[d][i] for d, i in enumerate(idx)])
+                for idx in np.ndindex(*([side] * space.n)))
+        points = [x for x in grid if not excl.rejects(x)]
+        for x, g in zip(points, evaluate_gaps(gap_fn, points).tolist()):
+            best.offer(x, g)
+        evals = len(points)
+        strategy = "grid"
+    else:
+        rng = substream(seed, "analyzer", "uniform")
+        lows, ranges = space.lows, space.ranges
+        explore = max(1, int(budget * UNIFORM_SHARE))
+        draws = 0
+        points = []  # accepted exploration draws; rejections do not count
+        while len(points) < explore and draws < 10 * budget:
+            x = lows + rng.random(space.n) * ranges
+            draws += 1
+            if not excl.rejects(x):
+                points.append(x)
+        gaps = evaluate_gaps(gap_fn, points).tolist()
+        for x, g in zip(points, gaps):
+            best.offer(x, g)
+        evals = len(points)
+        # (gap, order, x) of the exploration points, best first
+        starts = sorted(zip(gaps, range(evals), points), key=lambda t: (-t[0], t[1]))
+        for g, _, x in starts[:TOP_STARTS]:
+            if evals >= budget:
+                break
+            evals += _pattern_search(space, gap_fn, excl, x, g, best,
+                                     budget - evals)
+        strategy = "pattern-search"
+
+    if best.gap is not None and best.gap >= min_gap:
+        return AdversarialPoint(x=tuple(float(v) for v in best.x),
+                                gap=float(best.gap), strategy=strategy,
+                                evaluations=evals)
+    best_x = None if best.x is None else tuple(float(v) for v in best.x)
+    return NotFound(evaluations=evals, best_gap=best.gap, best_x=best_x)

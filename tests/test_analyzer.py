@@ -5,15 +5,21 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import oracles
 from xplain.analyzer import (
+    EPS_MEM,
     AdversarialPoint,
     ExclusionSet,
     InputSpace,
     NotFound,
     find_adversarial,
+    inside,
     membership,
+    stacked_rows,
 )
 from xplain.heuristics import Scenario, VbpInstance, builtin
+from xplain.solver import counting
+from xplain.subspaces import Subspace
 
 
 def box_region(lo, hi):
@@ -277,3 +283,155 @@ def test_not_found_reports_best_seen():
     assert isinstance(res, NotFound)
     assert res.best_gap == 1.0
     assert res.evaluations <= 450
+
+
+# The stacked region test and search against the per-point references in
+# tests/oracles.py.
+
+def random_region(rng, n, tree=True):
+    """A box inside [0, 1]^n, cut by the sum row and one random row if `tree`."""
+    lo = rng.uniform(0.0, 0.4, n)
+    hi = lo + rng.uniform(0.2, 0.6, n)
+    region = box_region(lo, hi)
+    if tree:
+        region.T = np.vstack([np.ones(n), rng.normal(size=n)])
+        mid = (lo + hi) / 2
+        region.V = region.T @ mid + rng.uniform(0.0, 0.2, 2)
+    return region
+
+
+def facet_points(rng, region, n, tol=EPS_MEM):
+    """Points on each facet of the region and at ±tol/2 and ±2·tol from it."""
+    rows, rhs = stacked_rows(region, n)
+    out = []
+    for a, c in zip(rows, rhs):
+        y = rng.uniform(0.0, 1.0, n)
+        on = y + (c - a @ y) * a / (a @ a)
+        out += [on + s * a / (a @ a) for s in (0.0, tol / 2, -tol / 2, 2 * tol, -2 * tol)]
+    return np.array(out)
+
+
+def test_stacked_region_test_matches_the_per_point_oracle():
+    rng = np.random.default_rng(11)
+    answers = []
+    for n in (1, 2, 4, 7):
+        for tree in (True, False):
+            for _ in range(4):
+                region = random_region(rng, n, tree)
+                X = np.vstack([rng.uniform(-0.1, 1.1, (40, n)),
+                               facet_points(rng, region, n)])
+                want = [oracles.membership(x, region) for x in X]
+                assert inside(X, region).tolist() == want
+                # a one-row stack answers as the point alone
+                assert [bool(inside(x[None], region)[0]) for x in X] == want
+                assert [membership(x, region) for x in X] == want
+                answers += want
+    assert 0 < sum(answers) < len(answers)
+    # a region with no rows holds every point, an empty stack gets no answer
+    bare = SimpleNamespace(A=(), C=(), T=(), V=())
+    X = rng.uniform(-1.0, 2.0, (5, 3))
+    assert inside(X, bare).tolist() == [True] * 5 == [oracles.membership(x, bare) for x in X]
+    assert inside(np.zeros((0, 3)), random_region(rng, 3)).shape == (0,)
+    # the printed row form: tuples of row tuples
+    sub = Subspace(A=D0.A, C=D0.C, T=D0.T, V=D0.V)
+    X = np.vstack([rng.uniform(0.0, 0.6, (30, 4)), facet_points(rng, D0, 4)])
+    assert inside(X, sub).tolist() == [oracles.membership(x, D0) for x in X]
+    assert [sub.contains(x) for x in X] == inside(X, sub).tolist()
+
+
+def test_exclusion_covers_matches_any_oracle_membership():
+    rng = np.random.default_rng(12)
+    for count in (0, 1, 3):
+        regions = [random_region(rng, 3, tree=k % 2 == 0) for k in range(count)]
+        excl = ExclusionSet(regions)
+        X = np.vstack([rng.uniform(0.0, 1.0, (60, 3))]
+                      + [facet_points(rng, r, 3) for r in regions])
+        want = [any(oracles.membership(x, r) for r in regions) for x in X]
+        assert excl.covers(X).tolist() == want
+        assert [excl.rejects(x) for x in X] == want
+        assert all(excl.rejects(x) is bool(excl.covers(x[None])[0]) for x in X)
+        if count:
+            assert any(want) and not all(want)
+
+
+def terraces(x):
+    """Plateaus rising along the first input, so ties occur and polls climb."""
+    return float(np.floor(5 * x[0]) + np.floor(2 * x[1 % len(x)])
+                 - np.floor(3 * abs(x[-1] - 0.5)))
+
+
+class StackLog:
+    """terraces on every row, keeping a copy of each stack it is handed."""
+
+    def __init__(self, batched):
+        self.batched = batched
+        self.stacks = []
+
+    def __call__(self, X):
+        X = np.array(X, dtype=float)
+        self.stacks.append(X)
+        if self.batched:
+            return np.array([terraces(r) for r in X])
+        return terraces(X)
+
+
+def same_stacks(a, b):
+    return len(a) == len(b) and all(
+        x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+def slab_regions(n):
+    """A slab at the top of the first input, which polls clip onto and
+    draws almost never reach; a box over part of the second input; and a
+    corner cut by the sum row."""
+    corner = box_region([0.0] * n, [0.5] * n)
+    corner.T, corner.V = np.ones((1, n)), np.array([0.4])
+    return [box_region([0.999] + [0.0] * (n - 1), [1.0] * n),
+            box_region([0.0] * n, [1.0, 0.3] + [1.0] * (n - 2)),
+            corner]
+
+
+@pytest.mark.parametrize("n, budget, excluded, strategy", [
+    (2, 200, False, "grid"),
+    (3, 300, False, "grid"),
+    (2, 200, True, "grid"),
+    (4, 400, False, "pattern-search"),
+    (8, 600, False, "pattern-search"),
+    (4, 400, True, "pattern-search"),
+    (8, 600, True, "pattern-search"),
+    (4, 241, False, "pattern-search"),   # 120 draws, then rounds of 8 polls
+])
+def test_stacked_search_hands_over_the_oracles_stacks(n, budget, excluded, strategy):
+    space = InputSpace(((0.0, 1.0),) * n)
+    regions = slab_regions(n) if excluded else []
+    for batched in (False, True):
+        new, old = StackLog(batched), StackLog(batched)
+        oracle_excl = oracles.ExclusionOracle(regions)
+        with counting() as work:
+            got = find_adversarial(space, new, ExclusionSet(regions), budget=budget,
+                                   min_gap=1.0, seed=3)
+        want = oracles.find_adversarial(space, old, oracle_excl, budget=budget,
+                                        min_gap=1.0, seed=3)
+        assert got == want and got.strategy == strategy
+        assert same_stacks(new.stacks, old.stacks)
+        assert (work.exclusion_checks, work.exclusion_rejects) == (
+            oracle_excl.checks, len(oracle_excl.rejected))
+        if excluded:
+            # draws (first input below 1) and poll or grid points clipped
+            # onto the top face were both turned away
+            firsts = [x[0] for x in oracle_excl.rejected]
+            assert min(firsts) < 0.999 and max(firsts) == 1.0
+        if batched and budget == 241:
+            assert got.evaluations == 241 and 0 < len(new.stacks[-1]) < 2 * n
+
+
+def test_stacked_search_on_a_covered_box_draws_its_cap_and_evaluates_nothing():
+    space = InputSpace(((0.0, 1.0),) * 4)
+    everything = [box_region([0.0] * 4, [1.0] * 4)]
+    log, oracle_excl = StackLog(True), oracles.ExclusionOracle(everything)
+    with counting() as work:
+        got = find_adversarial(space, log, ExclusionSet(everything), budget=50, seed=2)
+    want = oracles.find_adversarial(space, StackLog(True), oracle_excl, budget=50, seed=2)
+    assert got == want == NotFound(evaluations=0)
+    assert log.stacks == []
+    assert work.exclusion_checks == work.exclusion_rejects == oracle_excl.checks == 500
