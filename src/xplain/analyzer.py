@@ -135,8 +135,6 @@ def inside(X, region, tol=EPS_MEM):
     """
     X = np.asarray(X, dtype=float)
     rows, rhs = stacked_rows(region, X.shape[1])
-    if not len(rows):
-        return np.ones(len(X), dtype=bool)
     return ~((rows @ X[:, :, None])[:, :, 0] > rhs + tol).any(axis=1)
 
 
