@@ -19,7 +19,8 @@ p = c.z + shift and an edge from p's AllEqual node into the objective sink.
 Flows are nonnegative, so the encoding restricts the feasible set to
 {c.z + shift >= 0}; this is value-preserving for maximization whenever the
 optimum is at least -shift. Pass `objective_shift` accordingly for problems
-with negative optima.
+with negative optima (`needed_shift` gives the smallest that works once the
+optimum is known; `encode-milp` uses it when the given shift is too small).
 """
 
 from dataclasses import dataclass, field

@@ -63,7 +63,6 @@ def _section(cfg, key):
 
 def _scenario(cfg):
     from .heuristics.scenario import BUILTIN, builtin, load_scenario, scenario_from_dict
-    from .heuristics.vbp import sized_instance
 
     ref = cfg.get("scenario")
     if ref is None:
@@ -80,6 +79,8 @@ def _scenario(cfg):
     except (OSError, KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"cannot load scenario: {exc}") from exc
     if sc.kind == "vbp":
+        from .heuristics.vbp import sized_instance
+
         try:
             sized_instance(sc.instance, sc.baseline_inputs())
         except ValueError as exc:
@@ -415,36 +416,40 @@ def cmd_encode_milp(cfg, args):
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    net, trace = encode_milp(milp, objective_shift=shift)
+    def encode(at):
+        net, trace = encode_milp(milp, objective_shift=at)
+        try:
+            value, x, y, _ = solve_encoded(net, trace)
+            return net, {"status": "optimal", "objective": value, "x": x, "y": y}
+        except flow.Infeasible:
+            return net, {"status": "infeasible", "objective": None}
+        except flow.Unbounded:
+            return net, {"status": "unbounded", "objective": None}
+
+    raw = solve_mip(milp_to_program(milp))
+    net, encoded = encode(shift)
+    if raw.status == "optimal" and encoded["status"] == "infeasible":
+        # the encoding keeps c.z + shift >= 0, so an optimum below -shift
+        # has no encoding at this shift: encode again at the one it needs
+        need = needed_shift(milp, raw.objective)
+        if need > shift:
+            shift = need
+            net, encoded = encode(shift)
     out = _out_dir(args)
     net_path = out / "network.json"
     net_path.write_text(flow.to_json(net) + "\n")
-
-    raw = solve_mip(milp_to_program(milp))
     report = {
         "objective_shift": shift,
         "network_file": str(net_path),
         "nodes": len(net.nodes),
         "edges": len(net.edges),
         "raw": {"status": raw.status, "objective": raw.objective},
+        "encoded": encoded,
     }
-    try:
-        value, x, y, _ = solve_encoded(net, trace)
-        report["encoded"] = {"status": "optimal", "objective": value,
-                             "x": x, "y": y}
-    except flow.Infeasible:
-        report["encoded"] = {"status": "infeasible", "objective": None}
-    except flow.Unbounded:
-        report["encoded"] = {"status": "unbounded", "objective": None}
-    if raw.status == "optimal" and report["encoded"]["status"] == "infeasible":
-        need = needed_shift(milp, raw.objective)
-        if need > shift:
-            report["needed_shift"] = need
-    if raw.status == "optimal" and report["encoded"]["status"] == "optimal":
-        report["agreement"] = bool(
-            abs(raw.objective - report["encoded"]["objective"]) <= 1e-6)
+    if raw.status == "optimal" and encoded["status"] == "optimal":
+        report["agreement"] = bool(abs(raw.objective - encoded["objective"]) <= 1e-6)
     else:
-        report["agreement"] = raw.status == report["encoded"]["status"]
+        report["agreement"] = raw.status == encoded["status"]
     _emit(report)
     return EXIT_OK
 

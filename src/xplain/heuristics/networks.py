@@ -5,12 +5,20 @@ and the VBP view (ball picks over capacitated bin splits) share their edge
 ids between heuristic and benchmark so edge-level comparisons line up.
 """
 
+import sys
+
 import numpy as np
 
 from ..flow import Copy, FlowNetwork, Pick, Sink, Source, Split
 from ..flow import MAXIMIZE, MINIMIZE
-from .te import TeAllocation, TeInstance, _path_links
-from .vbp import VbpAllocation
+
+
+def _instance_of(obj, kind, cls):
+    """isinstance(obj, heuristics.<kind>.<cls>), importing nothing: an object
+    of a class exists only once its module is loaded, so a command that
+    runs one kind loads no code of the other."""
+    module = sys.modules.get(f"{__package__}.{kind}")
+    return module is not None and isinstance(obj, getattr(module, cls))
 
 
 def _path_id(path):
@@ -27,6 +35,8 @@ def link_edge_id(link):
 
 def te_network(inst):
     """Its edges come in the order of the instance's `FlowLayout.edge_grid`."""
+    from .te import _path_links
+
     net = FlowNetwork()
     net.add_node("unmet", Sink(sense=MINIMIZE), metadata={"role": "unmet"})
     net.add_node("met", Sink(sense=MAXIMIZE), metadata={"role": "met"})
@@ -89,7 +99,7 @@ def project_edges(net, inst, X, decisions):
     edge and, in ball order, on its bin's occupied edge.
     """
     X = np.asarray(X, dtype=float)
-    if isinstance(inst, TeInstance):
+    if _instance_of(inst, "te", "TeInstance"):
         lay = inst.flow_layout
         if len(lay.edge_grid) != len(net.edges):
             raise ValueError("the network is not the instance's te_network")
@@ -113,10 +123,10 @@ def project_allocation(alloc, net, inst):
 
     The one-row case of `project_edges`.
     """
-    if isinstance(alloc, TeAllocation):
+    if _instance_of(alloc, "te", "TeAllocation"):
         X = [alloc.demands]
         decisions = np.array([[f for row in alloc.flows for f in row] + [0.0]])
-    elif isinstance(alloc, VbpAllocation):
+    elif _instance_of(alloc, "vbp", "VbpAllocation"):
         X = [[s[0] for s in inst.sizes]]
         decisions = np.array([alloc.assignment], dtype=np.intp)
     else:

@@ -1,4 +1,8 @@
-"""Scenario files: problem instances plus their input-space boxes."""
+"""Scenario files: problem instances plus their input-space boxes.
+
+A scenario's kind module (`te` or `vbp`) is imported where that kind is
+handled, so a command loads only the code of the kind it runs.
+"""
 
 import json
 from dataclasses import dataclass
@@ -9,17 +13,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .gap import gap
-from .te import (
-    ROUTE_ROWS,
-    Demand,
-    Link,
-    TeInstance,
-    _checked_demands,
-    _route,
-    _totals,
-    k_shortest_paths,
-)
-from .vbp import VbpInstance, min_bins, run_ff, sized_instance
 
 BUILTIN = ("fig1a_dp", "ff4", "fig3_ff17")
 
@@ -39,16 +32,20 @@ def _evaluate_te(inst, X):
     So every row gets, bit for bit and with the same LP work, what `run_dp`
     then `optimal_te` on it would give.
     """
-    D = _checked_demands(inst, X, 2)
+    from . import te
+
+    D = te._checked_demands(inst, X, 2)
     flows = np.empty((2, len(D), len(inst.flow_layout.variables) + 1))
-    for start in range(0, len(D), ROUTE_ROWS):
-        rows = slice(start, start + ROUTE_ROWS)
-        flows[:, rows] = _route(inst, D[rows], (True, False))
-    return tuple(Outcome(_totals(inst, f), f) for f in flows)
+    for start in range(0, len(D), te.ROUTE_ROWS):
+        rows = slice(start, start + te.ROUTE_ROWS)
+        flows[:, rows] = te._route(inst, D[rows], (True, False))
+    return tuple(map(Outcome, te._totals(inst, flows), flows))
 
 
 def _evaluate_vbp(inst, X):
     """First-fit, then `min_bins`, on each row's sized instance in turn."""
+    from .vbp import min_bins, run_ff, sized_instance
+
     if inst.dim != 1:
         raise ValueError("size inputs expect single-dimension balls")
     X = np.asarray(X, dtype=float)
@@ -134,6 +131,8 @@ class Scenario:
 
         if self.kind == "te":
             return te_network(self.instance)
+        from .vbp import sized_instance
+
         sized = sized_instance(self.instance, self.baseline_inputs())
         return vbp_network(sized, n_bins=self.instance.n_balls)
 
@@ -170,6 +169,8 @@ def scenario_from_dict(doc):
     kind = doc["kind"]
     name = doc.get("name", "scenario")
     if kind == "te":
+        from .te import Demand, Link, TeInstance, k_shortest_paths
+
         nodes = tuple(str(n) for n in doc["nodes"])
         links = tuple(Link(str(l["src"]), str(l["dst"]), float(l["capacity"]))
                       for l in doc["links"])
@@ -191,6 +192,8 @@ def scenario_from_dict(doc):
         default = tuple((0.0, 2.0 * max(l.capacity for l in links))
                         for _ in demands)
     elif kind == "vbp":
+        from .vbp import VbpInstance
+
         sizes = tuple(doc["sizes"])
         bins = doc.get("bins")
         cap = doc.get("bin_capacity", 1.0)

@@ -66,6 +66,7 @@ class FlowLayout(NamedTuple):
 
     variables: tuple        # the column Variables, named f:k:p
     demand_columns: tuple   # per demand, its columns
+    column_demand: np.ndarray  # per column, its demand
     link_columns: tuple     # per link, the columns crossing it, increasing
     shortest_links: tuple   # per demand, its shortest path's links, hop order
     shortest_index: tuple   # per demand, the shortest path's place in `paths`
@@ -137,7 +138,9 @@ class TeInstance:
         width = 1 + max(map(len, demand_columns), default=0)
         sum_grid = np.vstack([np.full(width, len(variables)), grid[unmet, :width]])
         return FlowLayout(
-            tuple(variables), tuple(demand_columns), tuple(map(tuple, crossing)),
+            tuple(variables), tuple(demand_columns),
+            np.repeat(np.arange(len(demand_columns)), list(map(len, demand_columns))),
+            tuple(map(tuple, crossing)),
             tuple(tuple(index[hop] for hop in _path_links(dem.shortest))
                   for dem in self.demands),
             tuple(dem.paths.index(dem.shortest) for dem in self.demands),
@@ -195,7 +198,7 @@ class TeAllocation:
 
 class _MaxFlow(NamedTuple):
     lp: solver.ParametricLP
-    rows: np.ndarray  # per program row, its entry of [demands | residual]
+    links: np.ndarray  # the links with a row, in row order (after the demands)
 
 
 def _max_flow_lp(inst):
@@ -211,16 +214,13 @@ def _max_flow_lp(inst):
     lay = inst.flow_layout
     rows = [solver.Constraint(tuple((j, 1.0) for j in cols), solver.LE, 0.0)
             for cols in lay.demand_columns]
-    b_rows = list(range(inst.n_demands))
-    for i, cols in enumerate(lay.link_columns):
-        if cols:
-            rows.append(solver.Constraint(tuple((j, 1.0) for j in cols),
-                                          solver.LE, float(lay.capacities[i])))
-            b_rows.append(inst.n_demands + i)
+    links = [i for i, cols in enumerate(lay.link_columns) if cols]
+    rows += [solver.Constraint(tuple((j, 1.0) for j in lay.link_columns[i]),
+                               solver.LE, float(lay.capacities[i])) for i in links]
     prog = solver.ConstraintProgram(
         variables=list(lay.variables), constraints=rows,
         objective=dict.fromkeys(range(len(lay.variables)), 1.0), sense=solver.MAXIMIZE)
-    return _MaxFlow(solver.ParametricLP(prog), np.array(b_rows, dtype=np.intp))
+    return _MaxFlow(solver.ParametricLP(prog), np.array(links, dtype=np.intp))
 
 
 def _checked_demands(inst, d, ndim):
@@ -228,7 +228,7 @@ def _checked_demands(inst, d, ndim):
     d = np.asarray(d, dtype=float)
     if d.ndim != ndim:
         raise ValueError(f"demands must be {ndim}-dimensional, got shape {d.shape}")
-    if not np.all(np.isfinite(d)):
+    if not np.isfinite(d).all():
         raise ValueError("demands must contain only finite values")
     if d.shape[-1] != inst.n_demands:
         raise ValueError(f"expected {inst.n_demands} demand values, got {d.shape[-1]}")
@@ -249,7 +249,7 @@ def _pin(inst, D):
     flows = np.zeros((len(lay.variables), len(D)))
     residual = np.repeat(lay.capacities[:, None], len(D), axis=1)
     pinned = D.T <= inst.threshold
-    for k in np.flatnonzero(pinned.any(axis=1)).tolist():
+    for k in np.logical_or.reduce(pinned, axis=1).nonzero()[0].tolist():
         hops = lay.shortest_links[k]
         room = residual[hops[0]]
         for i in hops[1:]:
@@ -279,36 +279,38 @@ def _route(inst, D, pins):
     """
     lay = inst.flow_layout
     n, mf = D.shape[1], inst._max_flow
-    rhs = np.empty((len(D), len(pins), n + len(lay.capacities)))
-    rhs[:, :, :n] = D[:, None]  # then each pin's residual capacities
+    rhs = np.empty((len(D), len(pins), n + len(mf.links)))
+    rhs[:, :, :n] = D[:, None]  # then the row links' capacities, as each pin left them
     pinned = {}  # pin -> its pinned flows and, per column, whether its demand is pinned
     for p, pin in enumerate(pins):
         if pin:
-            flows, rhs[:, p, n:], by_demand = _pin(inst, D)
+            flows, residual, by_demand = _pin(inst, D)
+            rhs[:, p, n:] = residual[:, mf.links]
             rhs[:, p, :n][by_demand] = 0.0
-            pinned[p] = flows, np.repeat(by_demand, list(map(len, lay.demand_columns)), axis=1)
+            pinned[p] = flows, by_demand[:, lay.column_demand]
         else:
-            rhs[:, p, n:] = lay.capacities
-    sols = mf.lp.solve_many(rhs.reshape(-1, rhs.shape[2])[:, mf.rows])
+            rhs[:, p, n:] = lay.capacities[mf.links]
+    sols = mf.lp.solve_many(rhs.reshape(-1, rhs.shape[2]))
     if any(status != "optimal" for status in sols.status):
         raise solver.SolverError(f"a TE max-flow LP came back {set(sols.status)}")
     x = sols.values.reshape(len(D), len(pins), -1).transpose(1, 0, 2)
     out = np.zeros((len(pins), len(D), len(lay.variables) + 1))
-    out[:, :, :-1] = np.where(x > 0.0, x, 0.0)
+    np.copyto(out[:, :, :-1], x, where=x > 0.0)
     for p, (flows, by_column) in pinned.items():
-        out[p, :, :-1][by_column] = flows[by_column]
+        np.copyto(out[p, :, :-1], flows, where=by_column)
     return out
 
 
 def _totals(inst, flows):
-    """Σ of each row of `_route`'s flows as TeAllocation.total adds it up.
+    """Σ of each row of `_route`'s flows (the last axis) as TeAllocation.total
+    adds it up.
 
     That is from 0, per demand in path order, then over the demands in
     order from 0; cumsum adds in order, and the layout's sum grid puts the
     zeros in from the flows' zero column.
     """
-    padded = flows[:, inst.flow_layout.sum_grid]
-    return np.cumsum(np.cumsum(padded, axis=2)[:, :, -1], axis=1)[:, -1]
+    padded = flows[..., inst.flow_layout.sum_grid]
+    return np.cumsum(np.cumsum(padded, axis=-1)[..., -1], axis=-1)[..., -1]
 
 
 def _allocation(inst, d, pin):

@@ -14,8 +14,10 @@ up. A right-hand side tries them most recently used first and takes the
 first whose B^-1 b >= -tol and whose x passes the feasibility recheck of
 `solve_lp`. A hit is the exact optimum, up to the simplex's own
 tolerances. On a miss it is cold-solved through `xplain.solver.solve_lp`,
-looked up at each call; the basis that returns is stored and answers as a
-hit would, so that a b gets the same x whether it missed or hit. When an
+looked up at each call, with a program that holds that b: it shares the
+LP's variables, objective and dense arrays, so a miss builds no rows. The
+basis that returns is stored and answers as a hit would, so that a b gets
+the same x whether it missed or hit. When an
 LP has several optimal vertices, the x returned is the vertex of the first
 stored basis that passes, so it can depend on the right-hand sides that
 came before; the objective cannot.
@@ -24,16 +26,18 @@ came before; the objective cannot.
 row by row, what `solve` on each row in turn would return, leaving the
 same stored bases in the same order and the same `lp_warm`/`lp_cold`
 counts; `solve(b)` is its one-row case. It screens all rows against
-every stored basis at once (B^-1 b >= -tol), rechecks all rows left
-against a basis once the walk first tries it, and walks the rows in order
-to pick each one's first passing basis in most-recently-used order; after
-a miss it re-screens only a new or replaced basis, on the rows left.
+every stored basis at once (B^-1 b >= -tol); once the walk first tries a
+basis it rechecks, in one pass, the rows left that passed that basis's
+screen, since no other row can take it; and it walks the rows in order to
+pick each one's first passing basis in most-recently-used order. After a
+miss it re-screens only a new or replaced basis, on the rows left.
 B^-1 b is a stack of matrix-vector products, inv @ B[:, :, None]: one
 matrix-matrix product B @ inv.T rounds differently from inv @ b.
 """
 
 import numpy as np
 
+from .. import solver as _package
 from .program import BINARY, EQ, Constraint, ConstraintProgram, Solution
 from .simplex import _PRIMAL_TOL, _feasible
 from .work import open_counts
@@ -83,6 +87,9 @@ class ParametricLP:
         A, senses, b, c = prog.dense()
         m, n = A.shape
         self.program, self._b = prog, b  # b: the right-hand side prog holds
+        for array in (A, c):
+            array.setflags(write=False)  # shared by every cold solve's program
+        self._dense = A, tuple(senses), c
         self._c = c
         self._eq = np.array([s == EQ for s in senses], dtype=bool)
         le = np.flatnonzero(~self._eq)
@@ -114,35 +121,40 @@ class ParametricLP:
         n_rows = len(B)
         values = np.full((n_rows, len(self._c)), np.nan)
         answers = [None] * n_rows  # per row: the answering basis, or the cold Solution
-        tol = _PRIMAL_TOL * np.maximum(1.0, np.abs(B).max(axis=1, initial=0.0))
+        low = -_PRIMAL_TOL * np.maximum.reduce(np.abs(B), axis=1, initial=1.0)  # -tol per row
         # per slot, over this batch: its basis, B^-1 b at each row, whether
-        # that is >= -tol, then, once the slot is first tried at a row, x and
-        # whether it passes the recheck there and on the rows left, and the
-        # rows the slot answered
+        # that is >= -tol (as an array and a list), then, once the slot is
+        # first tried at a row, x from there on and, per row left that passed
+        # the screen, whether it passes the recheck; and the rows it answered
         entries = list(self._slots)
         v = (self._inv[:, None] @ B[None, :, :, None])[..., 0]
-        primal = (v.min(axis=2, initial=np.inf) >= -tol).tolist()
+        ok = np.minimum.reduce(v, axis=2, initial=np.inf) >= low
+        screen, primal = list(ok), ok.tolist()
         v, xs, fits = list(v), [None] * len(v), [None] * len(v)
         served = [[] for _ in v]
 
         def passes(slot, i):
-            if fits[slot] is None:
+            if fits[slot] is None:  # x from row i on, rechecked where it passed the screen
                 _, rows, cols = entries[slot]
                 x = xs[slot] = np.zeros((n_rows, len(self._c)))
                 x[i:, cols] = v[slot][i:, rows]
-                fits[slot] = [False] * i + _feasible(x[i:], self._A, self._eq, B[i:]).tolist()
+                hit = screen[slot][i:].nonzero()[0] + i
+                fits[slot] = dict(zip(hit.tolist(),
+                                      _feasible(x[hit], self._A, self._eq, B[hit]).tolist()))
             return fits[slot][i]
 
         def rescreen(slot, i):  # slot holds a new basis from row i on
             if slot == len(v):
                 entries.append(None), v.append(np.zeros_like(B)), xs.append(None)
-                primal.append(None), fits.append(None), served.append([])
+                screen.append(None), primal.append(None), fits.append(None)
+                served.append([])
             elif served[slot]:  # the x of the rows the old basis answered
                 values[served[slot]] = xs[slot][served[slot]]
             entries[slot] = self._slots[slot]
             v[slot][i:] = (self._inv[slot] @ B[i:, :, None])[:, :, 0]
-            primal[slot] = [False] * i + (
-                v[slot][i:].min(axis=1, initial=np.inf) >= -tol[i:]).tolist()
+            ok = screen[slot] = np.zeros(n_rows, dtype=bool)
+            ok[i:] = np.minimum.reduce(v[slot][i:], axis=1, initial=np.inf) >= low[i:]
+            primal[slot] = ok.tolist()
             xs[slot], fits[slot], served[slot] = None, None, []
 
         work, warm, cold = open_counts(), 0, 0
@@ -179,16 +191,8 @@ class ParametricLP:
         return Solutions(self, values, answers)
 
     def _cold_solve(self, b):
-        from . import solve_lp  # at call time, so that a patched solve_lp is used
-
-        prog = self.program
-        if not np.array_equal(b, self._b):
-            prog = ConstraintProgram(
-                variables=list(prog.variables),
-                constraints=[Constraint(con.coeffs, con.sense, float(rhs))
-                             for con, rhs in zip(prog.constraints, b)],
-                objective=dict(prog.objective), sense=prog.sense)
-        return solve_lp(prog)
+        prog = self.program if (b == self._b).all() else _AtRhs(self, b)
+        return _package.solve_lp(prog)  # looked up now, so that a patched one is used
 
     def _store(self, basis):
         """Make `basis` the most recently used. -> (its slot, whether B^-1 was new there)
@@ -220,3 +224,28 @@ class ParametricLP:
         if self._order[0] != slot:
             self._order.remove(slot)
             self._order.insert(0, slot)
+
+
+class _AtRhs(ConstraintProgram):
+    """A `ParametricLP`'s program with right-hand side b, as a cold solve gets it.
+
+    It shares the program's variables and objective, and `dense()` hands
+    out the program's own (read-only) arrays with b, so a miss builds no
+    rows; the rows, which the solve does not read, are made when asked for.
+    """
+
+    def __init__(self, lp, b):
+        prog = lp.program
+        self.variables, self.exactly_one_groups = prog.variables, prog.exactly_one_groups
+        self.objective, self.sense = prog.objective, prog.sense
+        self._lp, self._rhs = lp, np.array(b, dtype=float)
+        self._rhs.setflags(write=False)
+
+    @property
+    def constraints(self):
+        return [Constraint(con.coeffs, con.sense, float(rhs))
+                for con, rhs in zip(self._lp.program.constraints, self._rhs)]
+
+    def dense(self):
+        A, senses, c = self._lp._dense
+        return A, list(senses), self._rhs, c

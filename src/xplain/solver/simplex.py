@@ -19,6 +19,11 @@ dual simplex: most infeasible row first, and Harris's two-pass ratio test,
 which picks the largest pivot among the near-minimal ratios. Every reported
 optimum is re-checked against the original rows, so numerical trouble is
 raised instead of returned silently.
+
+A cold start lays out its slack, surplus and artificial columns and its
+starting reduced costs with whole-array operations, and the ratio test
+takes every row at once; both give, bit for bit, the pivots and values of
+the row-by-row code kept as the reference in tests/oracles.py.
 """
 
 import numpy as np
@@ -46,11 +51,12 @@ def _pivot(T, z, basis, r, j):
     piv = T[r, j]
     if abs(piv) < PIVOT_TOL:
         raise NumericalInstability(f"pivot {piv:.3e} below tolerance")
-    T[r] = T[r] / piv
+    row = T[r]
+    row /= piv
     col = T[:, j].copy()
     col[r] = 0.0
-    T -= np.outer(col, T[r])
-    z -= z[j] * T[r]
+    T -= col[:, None] * row
+    z -= z[j] * row
     basis[r] = j
 
 
@@ -126,43 +132,50 @@ class Tableau:
 
     def primal(self, max_iter):
         """Minimize until no movable column has a negative reduced cost. Bland's rule."""
-        T, z, basis = self.T, self.z, self.basis
+        T, basis = self.T, self.basis
+        beta, costs = T[:, -1], self.z[:-1]  # views: pivots and flips work in place
         span = self.up - self.lo
         bounded = np.isfinite(span)
         any_bounded = bool(bounded.any())
         movable = span > 0.0 if any_bounded else None
+        if not len(costs):
+            return "optimal"  # no columns
+        ratios = np.empty(len(basis))
         for _ in range(max_iter):
-            neg = z[:-1] < -_RC_TOL
+            neg = costs < -_RC_TOL
             if movable is not None:
                 neg &= movable
-            neg = np.nonzero(neg)[0]
-            if neg.size == 0:
+            j = int(neg.argmax())
+            if not neg[j]:
                 return "optimal"
-            j = int(neg[0])
             col = T[:, j]
-            rows = np.nonzero(col > PIVOT_TOL)[0]
-            num, den = T[rows, -1], col[rows]
+            # per row, the ratio at which its basic variable reaches 0 or,
+            # rising, a finite upper bound; inf where it never does
+            down = col > PIVOT_TOL
+            ratios.fill(np.inf)
+            np.divide(beta, col, out=ratios, where=down)
             if any_bounded:
-                # basic variables rising to a finite upper bound
-                up_rows = np.nonzero((col < -PIVOT_TOL) & bounded[basis])[0]
-                if up_rows.size:
-                    rows = np.concatenate([rows, up_rows])
-                    num = np.concatenate([num, span[basis[up_rows]] - T[up_rows, -1]])
-                    den = np.concatenate([den, -col[up_rows]])
-            ratios = num / den
-            best = ratios.min() if rows.size else np.inf
+                up = (col < -PIVOT_TOL) & bounded[basis]
+                np.divide(span[basis] - beta, -col, out=ratios, where=up)
+            best = np.minimum.reduce(ratios, initial=np.inf)
             if span[j] <= best:
                 if not bounded[j]:
                     return "unbounded"
                 self.flip(j)  # the entering column reaches its own bound first
                 continue
-            tied = rows[ratios <= best + 1e-12]
+            tied = (ratios <= best + 1e-12).nonzero()[0]
             # anti-cycling: among tied rows leave the lowest-index basic variable
-            r = int(tied[np.argmin(basis[tied])])
+            r = int(tied[0] if len(tied) == 1 else tied[np.argmin(basis[tied])])
             if abs(col[r]) < _SMALL_PIVOT:
                 # that pivot is rounding noise and would blow the tableau up:
                 # Harris instead, the largest pivot among the rows whose ratio
-                # is within tolerance of the least
+                # is within tolerance of the least (falling rows, then rising)
+                rows = np.flatnonzero(down)
+                if any_bounded:
+                    rows = np.concatenate([rows, np.flatnonzero(up)])
+                rising = col[rows] < 0
+                num = np.where(rising, span[basis[rows]] - beta[rows], beta[rows])
+                den = np.where(rising, -col[rows], col[rows])
                 num = np.maximum(num, 0.0)
                 near = np.nonzero(num / den <= ((num + _PRIMAL_TOL) / den).min())[0]
                 r = int(rows[near[np.argmax(den[near])]])
@@ -251,50 +264,38 @@ def cold_start(A, senses, b, c, sense=MAXIMIZE, lo=None, up=None):
         lo = np.asarray(lo, dtype=float)
         b = b - A @ lo
 
+    le = np.array([s == LE for s in senses], dtype=bool)
+
     # empty-row screening: a row with no coefficients is a tautology or a
     # contradiction and would otherwise confuse the tableau construction
-    nonempty = np.any(np.abs(A) > 0.0, axis=1)
-    keep = np.flatnonzero(nonempty)
-    for r in np.flatnonzero(~nonempty):
-        rhs = b[r]
-        ok = rhs >= -EPS_FEAS if senses[r] == LE else abs(rhs) <= EPS_FEAS
-        if not ok:
+    nonempty = np.logical_or.reduce(np.abs(A) > 0.0, axis=1)
+    if not np.logical_and.reduce(nonempty):
+        ok = np.where(le, b >= -EPS_FEAS, np.abs(b) <= EPS_FEAS)
+        if not np.logical_and.reduce(ok[~nonempty]):
             return "infeasible", None
-    if len(keep) < m0:
-        A = A[keep]
-        b = b[keep]
-        senses = [senses[r] for r in keep]
+        A, b, le = A[nonempty], b[nonempty], le[nonempty]
     m = len(b)
 
-    # normalize rhs >= 0; "<=" rows with negative rhs flip to ">="
-    geq = [senses[r] == LE and b[r] < 0 for r in range(m)]
-    slack = [senses[r] == LE and not geq[r] for r in range(m)]
-    n_slack = sum(slack)
-    n_surplus = sum(geq)
-    ncols = n + m + n_surplus
+    # normalize rhs >= 0: a row with b < 0 is negated, so a "<=" row turns
+    # ">=" and gets a surplus column (-1) where others get a slack (+1).
+    # Every "<=" row's slack or surplus column comes in row order after x;
+    # rows without a slack (">=" and "==") get an artificial after those
+    neg = b < 0
+    slack = le & ~neg
+    le_rows, art_rows = le.nonzero()[0], (~slack).nonzero()[0]
+    real = n + len(le_rows)
+    ncols = real + len(art_rows)
     T = np.zeros((m, ncols + 1))
     T[:, :n] = A
     T[:, -1] = b
+    if np.logical_or.reduce(neg):
+        T[neg, :n] = -A[neg]
+        T[neg, -1] = -b[neg]
     basis = np.empty(m, dtype=np.intp)
-    s = n
-    a = n + n_slack + n_surplus
-    art_cols = []
-    for r in range(m):
-        if b[r] < 0:
-            T[r, :n] = -A[r]
-            T[r, -1] = -b[r]
-        if slack[r]:
-            T[r, s] = 1.0
-            basis[r] = s
-            s += 1
-        else:
-            if geq[r]:  # geq rows need both a surplus and an artificial
-                T[r, s] = -1.0
-                s += 1
-            T[r, a] = 1.0
-            basis[r] = a
-            art_cols.append(a)
-            a += 1
+    basis[le_rows] = np.arange(n, real)
+    T[le_rows, basis[le_rows]] = np.where(neg[le_rows], -1.0, 1.0)
+    basis[art_rows] = np.arange(real, ncols)
+    T[art_rows, basis[art_rows]] = 1.0
     lo_all = np.zeros(ncols)
     if lo is not None:
         lo_all[:n] = lo
@@ -303,44 +304,49 @@ def cold_start(A, senses, b, c, sense=MAXIMIZE, lo=None, up=None):
     tab = Tableau(T, basis, lo_all, up_all, n)
     max_iter = _iteration_limit(T)
 
-    if art_cols:
-        z = tab.z
-        for col in art_cols:
-            z[col] = 1.0
-        for r in range(m):
-            if basis[r] >= n + n_slack + n_surplus:
-                z -= T[r]
+    if len(art_rows):
+        # phase 1 minimises the artificials' sum: their costs, less their
+        # rows, subtracted one row at a time in row order
+        tab.z[real:-1] = 1.0
+        tab.z = _subtract_rows(tab.z, T[art_rows])
         if tab.primal(max_iter) != "optimal":
             raise NumericalInstability("phase 1 reported unbounded")
         if -tab.z[-1] > _PHASE1_TOL:
             return "infeasible", None
         # drive remaining artificials out of the basis
-        real = n + n_slack + n_surplus
-        drop_rows = []
-        for r in range(m):
-            if tab.basis[r] >= real:
-                j = int(np.argmax(np.abs(tab.T[r, :real])))
-                if abs(tab.T[r, j]) > PIVOT_TOL:
-                    tab.pivot(r, j)
-                else:
-                    drop_rows.append(r)
-        keep_rows = [r for r in range(m) if r not in set(drop_rows)]
+        keep = np.ones(m, dtype=bool)
+        for r in (tab.basis >= real).nonzero()[0].tolist():
+            j = int(np.argmax(np.abs(tab.T[r, :real])))
+            if abs(tab.T[r, j]) > PIVOT_TOL:
+                tab.pivot(r, j)
+            else:
+                keep[r] = False
         # cut artificial columns (and redundant rows) off the tableau
         flipped = tab.flipped[:real]
-        tab = Tableau(np.hstack([tab.T[keep_rows, :real], tab.T[keep_rows, -1:]]),
-                      tab.basis[keep_rows], lo_all[:real], up_all[:real], n)
+        T = tab.T[keep]
+        tab = Tableau(np.hstack([T[:, :real], T[:, -1:]]), tab.basis[keep],
+                      lo_all[:real], up_all[:real], n)
         tab.flipped = flipped
 
+    # phase 2: the objective's costs, less each basic column's cost times
+    # its row. The basic columns are unit columns, so each row's multiplier
+    # is its basic column's starting cost, and the rows are subtracted in
+    # row order, as one at a time would
     minimize = sense == MINIMIZE
-    c_int = c if minimize else -c
-    z = tab.z = np.zeros(tab.T.shape[1])
-    z[:n] = c_int
+    z = np.zeros(tab.T.shape[1])
+    z[:n] = c if minimize else -c
     z[:n][tab.flipped[:n]] *= -1.0
-    for r, j in enumerate(tab.basis):
-        if abs(z[j]) > 0.0:
-            z -= z[j] * tab.T[r]
+    mult = z[tab.basis]
+    rows = (np.abs(mult) > 0.0).nonzero()[0]
+    tab.z = _subtract_rows(z, mult[rows, None] * tab.T[rows]) if rows.size else z
     status = tab.primal(max_iter)
     return status, (tab if status == "optimal" else None)
+
+
+def _subtract_rows(z, rows):
+    """z less each of `rows` in turn: ((z - rows[0]) - rows[1]) - ..., as an
+    accumulated sum, which adds in order (x - y is x + (-y) in floats)."""
+    return np.cumsum(np.vstack([z, -rows]), axis=0)[-1]
 
 
 def solve_lp_arrays(A, senses, b, c, sense=MAXIMIZE, uppers=None):
@@ -364,15 +370,15 @@ def _feasible(X, A, eq, B, uppers=None):
     A x is one matrix-vector product per row, so each row gets the answer
     it would get alone.
     """
-    ok = ~(X.min(axis=1, initial=np.inf) < -EPS_FEAS)
+    out = np.minimum.reduce(X, axis=1, initial=np.inf) < -EPS_FEAS
     if A.size:
         excess = (A @ X[:, :, None])[:, :, 0] - B
         if eq.any():
             excess = np.where(eq, np.abs(excess), excess)
-        ok &= ~(excess.max(axis=1) > EPS_FEAS)
+        out |= np.maximum.reduce(excess, axis=1) > EPS_FEAS
     if uppers is not None:
-        ok &= ~(X > uppers + EPS_FEAS).any(axis=1)
-    return ok
+        out |= np.logical_or.reduce(X > uppers + EPS_FEAS, axis=1)
+    return ~out
 
 
 def _verify(prog, xv, A, senses, b):
@@ -399,10 +405,14 @@ def solve_lp(prog):
     if status != "optimal":
         return Solution(status=status)
     xv = tab.values()
-    if not _verify(prog, xv, A, senses, b):
+    # the recheck of `_verify`, with the upper bounds the tableau already
+    # holds (None as inf), and none to check when no variable has one
+    eq = np.array([s == EQ for s in senses], dtype=bool)
+    bounds = tab.up[:tab.n] if any(u is not None for u in uppers) else None
+    if not _feasible(xv[None], A, eq, b[None], bounds)[0]:
         raise NumericalInstability("solution failed the feasibility recheck")
     # a "<=" row with b < 0 is negated and gets a surplus column in its
     # slack's place, so the column numbering is the same either way
-    basis = tuple(int(j) for j in tab.basis) if len(tab.basis) == len(b) else None
+    basis = tuple(tab.basis.tolist()) if len(tab.basis) == len(b) else None
     return Solution(status="optimal", objective=float(c @ xv), values=xv,
                     names=tuple(v.name for v in prog.variables), basis=basis)

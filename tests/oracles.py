@@ -16,6 +16,10 @@ counts its checks, and `find_adversarial` builds, screens and offers every
 grid point, draw and poll candidate one at a time. The search shares the
 package's input space, result types, gap dispatch and random substreams,
 so the two searches differ only in how their points travel.
+
+`reference_solve_lp` is likewise the package's earlier cold simplex path
+(`solve_lp`, `cold_start`, the primal loop, the pivot and the recheck),
+kept verbatim as the reference for the array-built set-up and ratio test.
 """
 
 import itertools
@@ -36,6 +40,26 @@ from xplain.analyzer import (
 )
 from xplain.flow import EPS_FLOW, AllEqual, Copy, Multiply, Pick, Source, Split
 from xplain.rng import substream
+from xplain.solver.program import (
+    BINARY,
+    EQ,
+    LE,
+    MAXIMIZE,
+    MINIMIZE,
+    NumericalInstability,
+    Solution,
+)
+from xplain.solver.simplex import (
+    _PHASE1_TOL,
+    _PRIMAL_TOL,
+    _RC_TOL,
+    _SMALL_PIVOT,
+    EPS_FEAS,
+    PIVOT_TOL,
+    _feasible as _feasible_rows,
+    _iteration_limit,
+)
+from xplain.solver.work import open_counts
 
 _FEAS_TOL = 1e-9
 
@@ -493,3 +517,261 @@ def find_adversarial(space, gap_fn, exclusions=None, budget=2000,
                                 evaluations=evals)
     best_x = None if best.x is None else tuple(float(v) for v in best.x)
     return NotFound(evaluations=evals, best_gap=best.gap, best_x=best_x)
+
+
+# --- the cold simplex path as it was before its set-up went to arrays --------
+#
+# Copied verbatim, so that a differential test can hold the current path to
+# the same status, basis, pivot count and bits. It shares only the program
+# types, the tolerances, `_iteration_limit`, `_feasible` and the counters.
+
+
+def _reference_pivot(T, z, basis, r, j):
+    piv = T[r, j]
+    if abs(piv) < PIVOT_TOL:
+        raise NumericalInstability(f"pivot {piv:.3e} below tolerance")
+    T[r] = T[r] / piv
+    col = T[:, j].copy()
+    col[r] = 0.0
+    T -= np.outer(col, T[r])
+    z -= z[j] * T[r]
+    basis[r] = j
+
+
+class ReferenceTableau:
+    """The earlier `Tableau`: the methods a cold solve uses, verbatim."""
+
+    def __init__(self, T, basis, lo, up, n):
+        self.T = T
+        self.z = np.zeros(T.shape[1])
+        self.basis = basis
+        self.lo = lo
+        self.up = up
+        self.flipped = np.zeros(len(lo), dtype=bool)
+        self.n = n
+        self.work = open_counts()
+
+    def pivot(self, r, j):
+        _reference_pivot(self.T, self.z, self.basis, r, j)
+        if self.work is not None:
+            self.work.pivots += 1
+
+    def flip(self, j):
+        """Measure column j from its other bound (the range must be finite)."""
+        span = self.up[j] - self.lo[j]
+        T = self.T
+        rows = np.nonzero(self.basis == j)[0]
+        if rows.size:
+            # y_j = span - y'_j turns row r's basic variable into y'_j
+            r = rows[0]
+            T[r] = -T[r]
+            T[r, j] = 1.0
+            T[r, -1] += span
+        else:
+            T[:, -1] -= span * T[:, j]
+            T[:, j] = -T[:, j]
+            self.z[-1] -= span * self.z[j]
+            self.z[j] = -self.z[j]
+        self.flipped[j] = not self.flipped[j]
+
+    def values(self):
+        """The structural x of the current basis."""
+        n = self.n
+        y = np.zeros(len(self.lo))
+        y[self.basis] = self.T[:, -1]
+        x = y[:n]
+        if self.flipped[:n].any() or self.lo[:n].any():
+            x = np.where(self.flipped[:n], self.up[:n] - x, self.lo[:n] + x)
+        return x
+
+    def primal(self, max_iter):
+        """Minimize until no movable column has a negative reduced cost. Bland's rule."""
+        T, z, basis = self.T, self.z, self.basis
+        span = self.up - self.lo
+        bounded = np.isfinite(span)
+        any_bounded = bool(bounded.any())
+        movable = span > 0.0 if any_bounded else None
+        for _ in range(max_iter):
+            neg = z[:-1] < -_RC_TOL
+            if movable is not None:
+                neg &= movable
+            neg = np.nonzero(neg)[0]
+            if neg.size == 0:
+                return "optimal"
+            j = int(neg[0])
+            col = T[:, j]
+            rows = np.nonzero(col > PIVOT_TOL)[0]
+            num, den = T[rows, -1], col[rows]
+            if any_bounded:
+                # basic variables rising to a finite upper bound
+                up_rows = np.nonzero((col < -PIVOT_TOL) & bounded[basis])[0]
+                if up_rows.size:
+                    rows = np.concatenate([rows, up_rows])
+                    num = np.concatenate([num, span[basis[up_rows]] - T[up_rows, -1]])
+                    den = np.concatenate([den, -col[up_rows]])
+            ratios = num / den
+            best = ratios.min() if rows.size else np.inf
+            if span[j] <= best:
+                if not bounded[j]:
+                    return "unbounded"
+                self.flip(j)  # the entering column reaches its own bound first
+                continue
+            tied = rows[ratios <= best + 1e-12]
+            # anti-cycling: among tied rows leave the lowest-index basic variable
+            r = int(tied[np.argmin(basis[tied])])
+            if abs(col[r]) < _SMALL_PIVOT:
+                # that pivot is rounding noise and would blow the tableau up:
+                # Harris instead, the largest pivot among the rows whose ratio
+                # is within tolerance of the least
+                num = np.maximum(num, 0.0)
+                near = np.nonzero(num / den <= ((num + _PRIMAL_TOL) / den).min())[0]
+                r = int(rows[near[np.argmax(den[near])]])
+            if col[r] < 0:
+                self.flip(int(basis[r]))  # it leaves at its upper bound
+            self.pivot(r, j)
+        raise NumericalInstability("simplex iteration limit reached")
+
+
+def reference_cold_start(A, senses, b, c, sense=MAXIMIZE, lo=None, up=None):
+    """Phases 1 and 2 for {opt c.x : A x (<=,==) b, lo <= x <= up} from scratch.
+
+    `lo` defaults to 0 and `up` to +inf (np.inf or None for no bound).
+    Returns (status, Tableau); the tableau is None unless status is optimal.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float)
+    m0, n = A.shape if A.size else (len(b), len(c))
+    if A.size == 0:
+        A = A.reshape(m0, n)
+    if up is None:
+        up = np.full(n, np.inf)
+    else:
+        up = np.array([np.inf if u is None else u for u in up], dtype=float)
+    if lo is not None:
+        lo = np.asarray(lo, dtype=float)
+        b = b - A @ lo
+
+    # empty-row screening: a row with no coefficients is a tautology or a
+    # contradiction and would otherwise confuse the tableau construction
+    nonempty = np.any(np.abs(A) > 0.0, axis=1)
+    keep = np.flatnonzero(nonempty)
+    for r in np.flatnonzero(~nonempty):
+        rhs = b[r]
+        ok = rhs >= -EPS_FEAS if senses[r] == LE else abs(rhs) <= EPS_FEAS
+        if not ok:
+            return "infeasible", None
+    if len(keep) < m0:
+        A = A[keep]
+        b = b[keep]
+        senses = [senses[r] for r in keep]
+    m = len(b)
+
+    # normalize rhs >= 0; "<=" rows with negative rhs flip to ">="
+    geq = [senses[r] == LE and b[r] < 0 for r in range(m)]
+    slack = [senses[r] == LE and not geq[r] for r in range(m)]
+    n_slack = sum(slack)
+    n_surplus = sum(geq)
+    ncols = n + m + n_surplus
+    T = np.zeros((m, ncols + 1))
+    T[:, :n] = A
+    T[:, -1] = b
+    basis = np.empty(m, dtype=np.intp)
+    s = n
+    a = n + n_slack + n_surplus
+    art_cols = []
+    for r in range(m):
+        if b[r] < 0:
+            T[r, :n] = -A[r]
+            T[r, -1] = -b[r]
+        if slack[r]:
+            T[r, s] = 1.0
+            basis[r] = s
+            s += 1
+        else:
+            if geq[r]:  # geq rows need both a surplus and an artificial
+                T[r, s] = -1.0
+                s += 1
+            T[r, a] = 1.0
+            basis[r] = a
+            art_cols.append(a)
+            a += 1
+    lo_all = np.zeros(ncols)
+    if lo is not None:
+        lo_all[:n] = lo
+    up_all = np.full(ncols, np.inf)
+    up_all[:n] = up
+    tab = ReferenceTableau(T, basis, lo_all, up_all, n)
+    max_iter = _iteration_limit(T)
+
+    if art_cols:
+        z = tab.z
+        for col in art_cols:
+            z[col] = 1.0
+        for r in range(m):
+            if basis[r] >= n + n_slack + n_surplus:
+                z -= T[r]
+        if tab.primal(max_iter) != "optimal":
+            raise NumericalInstability("phase 1 reported unbounded")
+        if -tab.z[-1] > _PHASE1_TOL:
+            return "infeasible", None
+        # drive remaining artificials out of the basis
+        real = n + n_slack + n_surplus
+        drop_rows = []
+        for r in range(m):
+            if tab.basis[r] >= real:
+                j = int(np.argmax(np.abs(tab.T[r, :real])))
+                if abs(tab.T[r, j]) > PIVOT_TOL:
+                    tab.pivot(r, j)
+                else:
+                    drop_rows.append(r)
+        keep_rows = [r for r in range(m) if r not in set(drop_rows)]
+        # cut artificial columns (and redundant rows) off the tableau
+        flipped = tab.flipped[:real]
+        tab = ReferenceTableau(np.hstack([tab.T[keep_rows, :real], tab.T[keep_rows, -1:]]),
+                               tab.basis[keep_rows], lo_all[:real], up_all[:real], n)
+        tab.flipped = flipped
+
+    minimize = sense == MINIMIZE
+    c_int = c if minimize else -c
+    z = tab.z = np.zeros(tab.T.shape[1])
+    z[:n] = c_int
+    z[:n][tab.flipped[:n]] *= -1.0
+    for r, j in enumerate(tab.basis):
+        if abs(z[j]) > 0.0:
+            z -= z[j] * tab.T[r]
+    status = tab.primal(max_iter)
+    return status, (tab if status == "optimal" else None)
+
+
+def _reference_verify(prog, xv, A, senses, b):
+    """Does xv satisfy prog's rows (A, senses, b from prog.dense()) and bounds?"""
+    eq = np.array([s == EQ for s in senses], dtype=bool)
+    uppers = np.array([np.inf if v.upper is None else v.upper for v in prog.variables])
+    return bool(_feasible_rows(xv[None], A, eq, b[None], uppers)[0])
+
+
+def reference_solve_lp(prog):
+    """Solve a pure LP ConstraintProgram (no binaries, no groups).
+
+    An optimal Solution carries the final basis when the tableau kept one
+    row per program row: column indices into [A | one slack column per
+    "<=" row, in row order].
+    """
+    if any(v.kind == BINARY for v in prog.variables):
+        raise ValueError("solve_lp: program contains binary variables; use solve_mip")
+    if prog.exactly_one_groups:
+        raise ValueError("solve_lp: program contains exactly-one groups; use solve_mip")
+    A, senses, b, c = prog.dense()
+    uppers = [v.upper for v in prog.variables]
+    status, tab = reference_cold_start(A, senses, b, c, prog.sense, up=uppers)
+    if status != "optimal":
+        return Solution(status=status)
+    xv = tab.values()
+    if not _reference_verify(prog, xv, A, senses, b):
+        raise NumericalInstability("solution failed the feasibility recheck")
+    # a "<=" row with b < 0 is negated and gets a surplus column in its
+    # slack's place, so the column numbering is the same either way
+    basis = tuple(int(j) for j in tab.basis) if len(tab.basis) == len(b) else None
+    return Solution(status="optimal", objective=float(c @ xv), values=xv,
+                    names=tuple(v.name for v in prog.variables), basis=basis)

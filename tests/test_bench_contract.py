@@ -12,6 +12,7 @@ import importlib
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import xplain.cli
@@ -76,26 +77,35 @@ class Captured(Exception):
 
 
 def captures(solver_attr, call, monkeypatch):
-    """Whether `call` hands a program to xplain.solver.<solver_attr>."""
+    """The program `call` hands to xplain.solver.<solver_attr>."""
     def grab(prog, *args, **kwargs):
         raise Captured(prog)
 
     monkeypatch.setattr(xplain.solver, solver_attr, grab)
     with pytest.raises(Captured) as got:
         call()
-    return isinstance(got.value.args[0], xplain.solver.ConstraintProgram)
+    prog = got.value.args[0]
+    assert isinstance(prog, xplain.solver.ConstraintProgram)
+    return prog
 
 
 def test_optimal_te_reaches_solve_lp(monkeypatch):
+    # the tracer times the midpoint's max-flow LP: its right-hand side is
+    # the midpoint's demands and the link capacities, in the LP's row order
     te = builtin("fig1a_dp")
     mid = [(lo + hi) / 2 for lo, hi in te.bounds]
-    assert captures("solve_lp", lambda: optimal_te(te.instance, mid), monkeypatch)
+    prog = captures("solve_lp", lambda: optimal_te(te.instance, mid), monkeypatch)
+    links = te.instance._max_flow.links
+    want = np.concatenate([mid, te.instance.flow_layout.capacities[links]])
+    _, _, b, _ = prog.dense()
+    assert [v.hex() for v in b.tolist()] == [v.hex() for v in want.tolist()]
+    assert [con.rhs for con in prog.constraints] == want.tolist()
 
 
 @pytest.mark.parametrize("name", ["ff4", "fig3_ff17"])
 def test_optimal_vbp_reaches_solve_mip(name, monkeypatch):
     inst = builtin(name).instance
-    assert captures("solve_mip", lambda: optimal_vbp(inst), monkeypatch)
+    captures("solve_mip", lambda: optimal_vbp(inst), monkeypatch)
 
 
 def test_a_command_calls_the_binding_patched_on_the_defining_module(tmp_path, monkeypatch):

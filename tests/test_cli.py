@@ -401,32 +401,31 @@ def test_encode_milp_rerun_identical(tmp_path, capsys):
 
 @pytest.mark.parametrize("sense", ["max", "min"])
 def test_encode_milp_names_the_shift_a_negative_optimum_needs(tmp_path, capsys, sense):
-    # optimum -3 as a maximum (x = (1, 1), y = 0): at shift 0 the encoded
-    # network, which keeps c.z + shift >= 0, is infeasible
+    # optimum -3 as a maximum (x = (1, 1), y = 0): the encoded network keeps
+    # c.z + shift >= 0, so below a shift of 3 it has no encoding. The
+    # command then encodes at 3, the shift the optimum needs, reports that
+    # shift and agrees; a larger shift is kept as given
     sign = 1 if sense == "max" else -1
     doc = {"sense": sense, "c_x": [-sign, -2 * sign], "c_y": [-3 * sign],
            "A_x": [[1, 1], [1, 0]], "A_y": [[1], [0]],
            "b": [2, 1], "row_sense": ["==", "<="]}
     milp = write_config(tmp_path, "m.json", doc)
-    reports = []
-    for shift in (0.0, 2.0, None):
-        cfg = {"milp": milp}
-        if shift is not None:
-            cfg["objective_shift"] = shift
-        else:
-            cfg["objective_shift"] = reports[0]["needed_shift"]
-        code, out = run_cli(capsys, "encode-milp", "--config",
-                            write_config(tmp_path, "c.json", cfg), "--seed", "1",
-                            "--out", str(tmp_path / "out"))
+    networks = {}
+    for shift in (0.0, 2.0, 3.0, 5.0):
+        out_dir = tmp_path / f"out-{shift}"
+        cfg = write_config(tmp_path, "c.json", {"milp": milp, "objective_shift": shift})
+        code, out = run_cli(capsys, "encode-milp", "--config", cfg, "--seed", "1",
+                            "--out", str(out_dir))
         assert code == 0
-        reports.append(json.loads(out))
-    for rep in reports[:2]:
+        rep = json.loads(out)
         assert rep["raw"] == {"status": "optimal", "objective": pytest.approx(-3.0 * sign)}
-        assert rep["encoded"]["status"] == "infeasible" and rep["agreement"] is False
-        assert rep["needed_shift"] == pytest.approx(3.0)
-    assert reports[1]["objective_shift"] == 2.0
-    assert reports[2]["objective_shift"] == reports[0]["needed_shift"]
-    assert reports[2]["agreement"] is True and "needed_shift" not in reports[2]
+        assert rep["objective_shift"] == pytest.approx(max(shift, 3.0))
+        assert rep["encoded"]["status"] == "optimal" and rep["agreement"] is True
+        assert rep["encoded"]["objective"] == pytest.approx(-3.0 * sign)
+        assert "needed_shift" not in rep
+        networks[shift] = (out_dir / "network.json").read_bytes()
+    # the network written is the one encoded at the shift reported
+    assert networks[0.0] == networks[2.0] == networks[3.0] != networks[5.0]
 
 
 @pytest.mark.parametrize("shift", [-1.0, "two", "inf", "nan"],

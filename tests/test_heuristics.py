@@ -183,7 +183,7 @@ def test_max_flow_layout_matches_row_by_row_build(fig1a, monkeypatch):
             d = rng.uniform(0.0, 100.0, size=inst.n_demands)
             d[rng.random(inst.n_demands) < 0.4] = 0.0  # the skipped demands
             residual = [float(rng.uniform(0.0, l.capacity)) for l in inst.links]
-            b = np.concatenate([d, residual])[mf.rows]
+            b = np.concatenate([d, np.array(residual)[mf.links]])
             with pytest.raises(RuntimeError, match="captured"):
                 mf.lp.solve(b)
             got = captured.pop()

@@ -41,6 +41,17 @@ def test_builtin_scenarios_load_without_the_network_views():
     assert loaded_after(code, ["xplain.flow", "xplain.heuristics.networks"]) == []
 
 
+def test_a_scenario_loads_only_its_own_kind():
+    # a stacked vbp gap runs no TE code, and a TE gap no packing code
+    vbp = ("from xplain.heuristics import builtin\n"
+           "builtin('ff4').gap_fn('absolute')([[0.1, 0.2, 0.3, 0.4], [0.5, 0.5, 0.5, 0.5]])")
+    assert loaded_after(vbp, ["xplain.heuristics.te", "xplain.solver.parametric"]) == []
+    te = ("from xplain.heuristics import builtin\n"
+          "builtin('fig1a_dp').gap_fn('relative')([[10.0] * 8, [60.0] * 8])")
+    assert loaded_after(te, ["xplain.heuristics.vbp", "xplain.heuristics.binpack_bounds",
+                             "xplain.heuristics.te"]) == ["xplain.heuristics.te"]
+
+
 def test_the_network_view_loads_its_modules_on_use():
     code = "from xplain.heuristics import builtin\nbuiltin('ff4').network"
     assert loaded_after(code, ["xplain.flow", "xplain.heuristics.networks"]) == [

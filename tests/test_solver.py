@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import lp_oracle, milp_oracle
+from oracles import lp_oracle, milp_oracle, reference_cold_start, reference_solve_lp
 from xplain.solver import (
     BINARY,
     EQ,
@@ -10,14 +10,16 @@ from xplain.solver import (
     MINIMIZE,
     BudgetExceeded,
     ConstraintProgram,
+    NumericalInstability,
     ParametricLP,
     solve_lp,
     counting,
     solve_mip,
     to_lp_format,
 )
+from xplain.heuristics import builtin
 from xplain.solver.parametric import MAX_BASES
-from xplain.solver.simplex import solve_lp_arrays
+from xplain.solver.simplex import cold_start, solve_lp_arrays
 
 
 def make_lp(A, senses, b, c, sense=MAXIMIZE, kinds=None, uppers=None):
@@ -110,6 +112,78 @@ def test_simplex_matches_vertex_enumeration_oracle():
         if status == "optimal":
             assert val == pytest.approx(want_val, abs=1e-7)
         checked += 1
+
+
+def _cold_path_lp(rng):
+    """A small random LP for the cold path: <= and == rows, negative and zero
+    right-hand sides, empty rows, finite upper bounds, and integer entries
+    (so ratios tie) with a few near-zero ones (so Bland's row can pivot on
+    rounding noise); half of them get fractions too, so sums round."""
+    m, n = int(rng.integers(0, 7)), int(rng.integers(0, 7))
+    A = rng.integers(-3, 4, size=(m, n)).astype(float)
+    c = rng.integers(-3, 4, size=n).astype(float)
+    if rng.random() < 0.5:
+        A += rng.uniform(-1.0, 1.0, size=(m, n)) * (rng.random((m, n)) < 0.5)
+        c += rng.uniform(-1.0, 1.0, size=n)
+    tiny = rng.random((m, n)) < 0.12
+    A[tiny] = rng.choice([4e-8, -4e-8, 2e-9], size=int(tiny.sum()))
+    A[rng.random(m) < 0.1] = 0.0
+    b = rng.integers(-3, 7, size=m).astype(float)
+    b[rng.random(m) < 0.3] = 0.0
+    senses = [EQ if rng.random() < 0.25 else LE for _ in range(m)]
+    uppers = [float(rng.integers(0, 4)) if rng.random() < 0.3 else None for _ in range(n)]
+    sense = MAXIMIZE if rng.random() < 0.6 else MINIMIZE
+    return make_lp(A, senses, b, c, sense, uppers=uppers)
+
+
+def _cold_answer(solve, prog):
+    """What `solve` makes of prog, bit for bit: the status, basis, pivots,
+    objective and values (floats as .hex(), so signed zeros count), or the
+    error it raises."""
+    with counting() as work:
+        try:
+            sol = solve(prog)
+        except NumericalInstability as exc:
+            return ("raised", str(exc), work.pivots)
+    values = None if sol.values is None else [v.hex() for v in sol.values.tolist()]
+    objective = None if sol.objective is None else sol.objective.hex()
+    return (sol.status, sol.basis, work.pivots, objective, values, sol.names)
+
+
+def _final_tableau(start, prog):
+    """The bytes of the optimal tableau `start` leaves for prog, or its status."""
+    A, senses, b, c = prog.dense()
+    try:
+        status, tab = start(A, senses, b, c, prog.sense, up=[v.upper for v in prog.variables])
+    except NumericalInstability as exc:
+        return str(exc)
+    if tab is None:
+        return status
+    return tab.T.tobytes(), tab.z.tobytes(), tab.basis.tolist(), tab.flipped.tolist()
+
+
+def test_cold_path_matches_the_reference_bit_for_bit():
+    # the current cold start, primal loop and recheck against their earlier
+    # code (tests/oracles.py) on random LPs and on fig1a_dp's max-flow LP at
+    # random demands, some pinned to 0
+    rng = np.random.default_rng(2323)
+    progs = [_cold_path_lp(rng) for _ in range(3000)]
+    te = builtin("fig1a_dp")
+    template = te.instance._max_flow.lp.program
+    links = te.instance._max_flow.links
+    caps = te.instance.flow_layout.capacities
+    for _ in range(200):
+        d = rng.uniform(0.0, 200.0, size=te.dimension) * (rng.random(te.dimension) < 0.7)
+        b = np.concatenate([d, caps[links]])
+        A, senses, _, c = template.dense()
+        progs.append(make_lp(A, senses, b, c))
+    statuses = set()
+    for prog in progs:
+        want = _cold_answer(reference_solve_lp, prog)
+        assert _cold_answer(solve_lp, prog) == want, to_lp_format(prog)
+        assert _final_tableau(cold_start, prog) == _final_tableau(reference_cold_start, prog)
+        statuses.add(want[0])
+    assert statuses == {"optimal", "infeasible", "unbounded", "raised"}
 
 
 def test_lp_duality_on_random_feasible_bounded():
